@@ -117,13 +117,10 @@ int main(int argc, char** argv) {
     for (NodeId v = 0; v < n; ++v) {
       const auto& node =
           dynamic_cast<const core::Robust3HopNode&>(sim->node(v));
-      for (const auto& [e, pset] : node.path_table()) {
-        (void)e;
-        for (const auto& pk : pset) {
-          if (pk.len == 1) ++census.len1;
-          if (pk.len == 2) ++census.len2;
-          if (pk.len == 3) ++census.len3;
-        }
+      for (const auto& pk : node.paths()) {
+        if (pk.len == 1) ++census.len1;
+        if (pk.len == 2) ++census.len2;
+        if (pk.len == 3) ++census.len3;
       }
       const auto r3 = oracle::robust_3hop(sim->graph(), v);
       const auto known = node.known_edges();

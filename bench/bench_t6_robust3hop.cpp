@@ -47,10 +47,7 @@ Cell run_random(std::size_t n, std::size_t rounds) {
   cell.amortized = sim.metrics().amortized();
   for (NodeId v = 0; v < n; ++v) {
     const auto& node = dynamic_cast<const core::Robust3HopNode&>(sim.node(v));
-    for (const auto& [e, pset] : node.path_table()) {
-      (void)e;
-      cell.paths += pset.size();
-    }
+    cell.paths += node.paths().size();
   }
   return cell;
 }

@@ -58,6 +58,18 @@ class FlatSet {
     return n;
   }
 
+  /// Erases every element of [lo, hi) matching pred, calling pred once per
+  /// element of that range and on no other; returns the number erased.
+  template <typename Pred>
+  std::size_t erase_if(const T& lo, const T& hi, Pred pred) {
+    const auto first = std::lower_bound(data_.begin(), data_.end(), lo);
+    const auto last = std::lower_bound(first, data_.end(), hi);
+    const auto kept = std::remove_if(first, last, pred);
+    const auto n = static_cast<std::size_t>(last - kept);
+    data_.erase(kept, last);
+    return n;
+  }
+
   void clear() { data_.clear(); }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] bool empty() const { return data_.empty(); }

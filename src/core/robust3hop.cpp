@@ -1,6 +1,7 @@
 #include "core/robust3hop.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -24,6 +25,17 @@ bool conflicts(const NodeId self, const Robust3HopNode::PendingView& a,
   return false;
 }
 
+/// Bounds [lo, hi) of the path keys whose hops start with `first` and,
+/// unless it is kNoNode, `second`.  Unused hops are kNoNode, so a shorter
+/// path sorts after its extensions, inside the same range.
+std::pair<PathKey, PathKey> prefix_range(NodeId first, NodeId second) {
+  if (second == kNoNode) {
+    return {PathKey{{first, 0, 0}, 0}, PathKey{{first + 1, 0, 0}, 0}};
+  }
+  return {PathKey{{first, second, 0}, 0},
+          PathKey{{first, second + 1, 0}, 0}};
+}
+
 }  // namespace
 
 int Robust3HopNode::PendingView::edges(NodeId self, Edge out[2]) const {
@@ -44,11 +56,11 @@ void Robust3HopNode::enqueue_unique(const Pending& p) {
     queue_.push_back(p);
     return;
   }
-  // Duplicate suppression (deviation D4), made order-aware: a new item is
-  // redundant only if an identical copy is already pending *and* nothing
-  // enqueued after that copy touches the same edges -- the queue is a
-  // causal event log, and an intervening conflicting item (e.g. a deletion
-  // between two identical re-insertions) makes the repeat load-bearing.
+  // Duplicate suppression, made order-aware: a new item is redundant only
+  // if an identical copy is already pending *and* nothing enqueued after
+  // that copy touches the same edges -- the queue is a causal event log,
+  // and an intervening conflicting item (e.g. a deletion between two
+  // identical re-insertions) makes the repeat load-bearing.
   if (!queued_keys_.contains(key_of(p))) {
     queued_keys_.insert(key_of(p));
     queue_.push_back(p);
@@ -75,37 +87,30 @@ void Robust3HopNode::enqueue_unique(const Pending& p) {
 void Robust3HopNode::add_path(std::span<const NodeId> hops) {
   DYNSUB_CHECK(!hops.empty() && hops.size() <= 3);
   PathKey pk;
-  NodeId prev = view_.self();
   for (std::size_t j = 0; j < hops.size(); ++j) {
     pk.hops[j] = hops[j];
     pk.len = static_cast<std::uint8_t>(j + 1);
-    paths_[Edge(prev, hops[j])].insert(pk);
-    prev = hops[j];
+    if (paths_.insert(pk)) ++edge_paths_[pk.last_edge(view_.self())];
   }
 }
 
 void Robust3HopNode::remove_paths_via(Edge e, NodeId chain, NodeId via) {
   // Relay-chain-scoped removal: a deletion relayed by neighbor `chain`
   // kills only the discovery paths learned along the same relay chain --
-  // first hop `chain` and (for forwarded relays) second hop `via`.  Each
-  // such chain's paths are mutated exclusively by that relay path's FIFO
-  // streams (plus local link-loss purges), so last-write-wins is causally
-  // correct per chain, and a stale backlogged deletion relay from one
-  // chain can no longer destroy fresh knowledge learned through another
-  // (DESIGN.md, D5; the paper's global removal has this race).
+  // first hop `chain` and (for forwarded relays) second hop `via`.  Those
+  // are exactly the key range prefix_range(chain, via), so nothing outside
+  // it is visited.  A forwarded relay's range leaves out the 1-edge path
+  // [chain], whose only edge {self, chain} touches self: receive_and_update
+  // drops such relays before they get here.
   const NodeId root = view_.self();
-  for (auto it = paths_.begin(); it != paths_.end();) {
-    it->second.erase_if([&](const PathKey& pk) {
-      if (pk.hops[0] != chain) return false;
-      if (via != kNoNode && pk.len >= 2 && pk.hops[1] != via) return false;
-      return pk.contains(root, e);
-    });
-    if (it->second.empty()) {
-      it = paths_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const auto [lo, hi] = prefix_range(chain, via);
+  paths_.erase_if(lo, hi, [&](const PathKey& pk) {
+    if (!pk.contains(root, e)) return false;
+    auto it = edge_paths_.find(pk.last_edge(root));
+    DYNSUB_CHECK(it != edge_paths_.end() && it->second > 0);
+    if (--it->second == 0) edge_paths_.erase(it);
+    return true;
+  });
 }
 
 void Robust3HopNode::react_and_send(const net::NodeContext& ctx,
@@ -118,7 +123,7 @@ void Robust3HopNode::react_and_send(const net::NodeContext& ctx,
   // (react time); only the broadcast is queued.  Applying the local purge
   // lazily at dequeue -- the paper's literal reading -- lets a backlogged
   // own-deletion execute long after the link flickered back, destroying
-  // fresh chain knowledge that arrived in between (DESIGN.md, D5).
+  // fresh chain knowledge that arrived in between.
   for (const auto& ev : events) {
     const NodeId u = ev.edge.other(v);
     if (ev.kind == EventKind::kInsert) {
@@ -171,14 +176,16 @@ void Robust3HopNode::receive_and_update(const net::NodeContext& ctx,
       const std::size_t verts = static_cast<std::size_t>(msg.path_len) + 1;
       DYNSUB_CHECK(verts >= 2 && verts <= 3);
       if (verts == 2 && msg.nodes[1] == v) {
-        // Own-edge form {v, from}: record, never re-forward (D3).
+        // Own-edge form {v, from}: record, never re-forward -- v broadcast
+        // this edge itself, so the echo tells its neighbors nothing new.
         const std::array<NodeId, 1> own{from};
         add_path(own);
         continue;
       }
-      // Skip degenerate extensions that would revisit v (a required edge
-      // whose only witness revisits v is already covered by a shorter
-      // pattern; see DESIGN.md 4.4).
+      // Skip degenerate extensions that would revisit v: such a walk
+      // witnesses only edges with an endpoint adjacent to v, and a robust
+      // one of those is already covered by a shorter path that does not
+      // revisit v.
       bool contains_self = false;
       for (std::size_t j = 0; j < verts; ++j) {
         contains_self |= (msg.nodes[j] == v);
@@ -220,9 +227,7 @@ void Robust3HopNode::receive_and_update(const net::NodeContext& ctx,
 
 net::Answer Robust3HopNode::query_edge(Edge e) const {
   if (!consistent_) return net::Answer::kInconsistent;
-  auto it = paths_.find(e);
-  const bool present = it != paths_.end() && !it->second.empty();
-  return present ? net::Answer::kTrue : net::Answer::kFalse;
+  return edge_paths_.contains(e) ? net::Answer::kTrue : net::Answer::kFalse;
 }
 
 net::Answer Robust3HopNode::query_cycle(
@@ -239,19 +244,17 @@ net::Answer Robust3HopNode::query_cycle(
   DYNSUB_CHECK_MSG(self_in_cycle, "query_cycle: self not on candidate cycle");
   for (std::size_t i = 0; i < cycle.size(); ++i) {
     const Edge e(cycle[i], cycle[(i + 1) % cycle.size()]);
-    auto it = paths_.find(e);
-    if (it == paths_.end() || it->second.empty()) return net::Answer::kFalse;
+    if (!edge_paths_.contains(e)) return net::Answer::kFalse;
   }
   return net::Answer::kTrue;
 }
 
 FlatSet<Edge> Robust3HopNode::known_edges() const {
-  // paths_ iterates in sorted key order, so this is a linear bulk build.
+  // edge_paths_ holds only non-zero counts and iterates in sorted key
+  // order, so this is a linear bulk build.
   std::vector<Edge> edges;
-  edges.reserve(paths_.size());
-  for (const auto& [e, pset] : paths_) {
-    if (!pset.empty()) edges.push_back(e);
-  }
+  edges.reserve(edge_paths_.size());
+  for (const auto& entry : edge_paths_) edges.push_back(entry.first);
   return FlatSet<Edge>::from_unsorted(std::move(edges));
 }
 

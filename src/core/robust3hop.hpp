@@ -31,8 +31,27 @@
 //  * queues are FIFO -- the causal ordering this gives per relay chain is
 //    load-bearing (a deletion relayed by u can never overtake the
 //    re-insertion u relayed earlier);
-//  * queue entries are deduplicated (DESIGN.md deviation D4) and items are
-//    not re-enqueued when v itself dequeues them (deviation D3).
+//  * queue entries are deduplicated (see enqueue_unique), and a node never
+//    re-forwards the echo [u, v] of its own incident edge: it already
+//    broadcast that edge itself, so the echo carries nothing new.
+//
+// Two departures from the paper's literal rules close races that the FIFO
+// ordering alone does not:
+//  * own topology changes update the path set at react time; only their
+//    broadcast waits in the queue (a purge applied at dequeue could run long
+//    after the link came back and destroy the knowledge relayed since);
+//  * a deletion relay kills only the paths learned along the chain it came
+//    down (first hop `chain`, and second hop `via` once forwarded).  Each
+//    chain's paths are written only by that chain's FIFO streams, so
+//    last-write-wins is causally correct per chain, while the paper's global
+//    removal lets a stale relay from one chain erase fresh knowledge that
+//    arrived through another.
+//
+// Storage: one sorted set of PathKeys, ordered by hops.  Every path learned
+// through neighbor `chain` is one contiguous range of it, and every path
+// through `chain, via` a sub-range, so a deletion relay visits only the
+// paths it can kill.  A per-edge count of the paths ending in each edge
+// answers presence queries; an edge is in S~_v while its count is non-zero.
 //
 // Consistency (paper's two-round rule): C_v is true only if for both round i
 // and round i-1 the node's queue stayed empty and no neighbor declared
@@ -53,9 +72,12 @@
 namespace dynsub::core {
 
 /// A v-rooted discovery path, stored as the sequence of hops after v.
+/// Hops past `len` are kNoNode, so the hops alone determine the key: the
+/// defaulted ordering compares them first, which keeps every path with a
+/// given first hop (and first two hops) contiguous in a sorted set.
 struct PathKey {
-  std::uint8_t len = 0;  // number of edges, 1..3
   std::array<NodeId, 3> hops{kNoNode, kNoNode, kNoNode};
+  std::uint8_t len = 0;  // number of edges, 1..3
 
   friend auto operator<=>(const PathKey&, const PathKey&) = default;
 
@@ -68,12 +90,17 @@ struct PathKey {
     }
     return false;
   }
+
+  /// The path's last edge, the one it is a discovery path of.
+  [[nodiscard]] Edge last_edge(NodeId root) const {
+    return Edge(len >= 2 ? hops[len - 2] : root, hops[len - 1]);
+  }
 };
 
 struct Robust3HopOptions {
-  /// Order-aware duplicate suppression in the pending queue (deviation
-  /// D4).  Disabling it keeps the structure correct but allows duplicate
-  /// re-learn items to queue up.
+  /// Order-aware duplicate suppression in the pending queue (see
+  /// enqueue_unique).  Disabling it keeps the structure correct but allows
+  /// duplicate re-learn items to queue up.
   bool queue_dedup = true;
   /// The paper re-forwards deletion relays while l <= 1, which lets one
   /// deletion fan in as Theta(deg) distinct (e, 2, via) items at a
@@ -128,10 +155,9 @@ class Robust3HopNode final : public net::NodeProgram {
 
   [[nodiscard]] const net::LocalView& local_view() const { return view_; }
 
-  /// Discovery-path table (for tests that probe the mechanism itself).
-  [[nodiscard]] const FlatMap<Edge, FlatSet<PathKey>>& path_table() const {
-    return paths_;
-  }
+  /// Every stored discovery path, ordered by hops (for tests and benches
+  /// that probe the mechanism itself).
+  [[nodiscard]] const FlatSet<PathKey>& paths() const { return paths_; }
 
  public:
   struct Pending {
@@ -162,11 +188,11 @@ class Robust3HopNode final : public net::NodeProgram {
             (static_cast<std::uint64_t>(p.via) << 32) | p.a[1]};
   }
 
-  /// FIFO enqueue with exact-duplicate suppression (deviation D4).
+  /// FIFO enqueue with order-aware duplicate suppression.
   void enqueue_unique(const Pending& p);
 
   /// Records every prefix of the v-rooted path given by `hops` as a
-  /// discovery path of the corresponding edge.
+  /// discovery path of its last edge.
   void add_path(std::span<const NodeId> hops);
 
   /// Drops every stored discovery path that traverses e and was learned
@@ -176,8 +202,9 @@ class Robust3HopNode final : public net::NodeProgram {
 
   Options options_;
   net::LocalView view_;
-  FlatMap<Edge, FlatSet<PathKey>> paths_;  // S_v
-  std::deque<Pending> queue_;              // Q_v
+  FlatSet<PathKey> paths_;                   // S_v, ordered by hops
+  FlatMap<Edge, std::uint32_t> edge_paths_;  // paths ending in each edge
+  std::deque<Pending> queue_;                // Q_v
   FlatSet<PendingKey> queued_keys_;
   bool consistent_ = true;
   bool busy_at_send_ = false;

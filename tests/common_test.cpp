@@ -110,6 +110,16 @@ TEST(FlatSetTest, EraseIf) {
   EXPECT_EQ(s.size(), 5u);
   EXPECT_FALSE(s.contains(4));
   EXPECT_TRUE(s.contains(5));
+  // The range form visits only the elements in [lo, hi).
+  std::vector<int> visited;
+  EXPECT_EQ(s.erase_if(3, 8,
+                       [&](int v) {
+                         visited.push_back(v);
+                         return v != 5;
+                       }),
+            2u);
+  EXPECT_EQ(visited, (std::vector<int>{3, 5, 7}));
+  EXPECT_EQ(s.values(), (std::vector<int>{1, 5, 9}));
 }
 
 TEST(FlatMapTest, BasicOperations) {

@@ -5,6 +5,11 @@
 // across scripted path scenarios and random churn, in O(1) amortized rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
 #include "core/audit.hpp"
 #include "core/robust3hop.hpp"
 #include "dynamics/random_churn.hpp"
@@ -111,11 +116,12 @@ TEST(Robust3HopTest, PathTableRecordsPrefixes) {
                       {EdgeEvent::insert(2, 3)}},
                      48, core::audit_robust3hop);
   const auto& node = dynamic_cast<const Robust3HopNode&>(sim.node(0));
-  const auto& table = node.path_table();
-  auto it = table.find(Edge(2, 3));
-  ASSERT_NE(it, table.end());
-  ASSERT_EQ(it->second.size(), 1u);
-  const core::PathKey& pk = *it->second.begin();
+  std::vector<core::PathKey> ending_23;
+  for (const core::PathKey& pk : node.paths()) {
+    if (pk.last_edge(0) == Edge(2, 3)) ending_23.push_back(pk);
+  }
+  ASSERT_EQ(ending_23.size(), 1u);
+  const core::PathKey& pk = ending_23.front();
   EXPECT_EQ(pk.len, 3);
   EXPECT_EQ(pk.hops[0], 1u);
   EXPECT_EQ(pk.hops[1], 2u);
@@ -131,6 +137,83 @@ TEST(Robust3HopTest, InconsistentWhileUpdating) {
   EXPECT_EQ(node.query_edge(Edge(0, 1)), net::Answer::kInconsistent);
   sim.run_until_stable(32);
   EXPECT_EQ(node.query_edge(Edge(0, 1)), net::Answer::kTrue);
+}
+
+// ---------------------------------------------- chain-scoped deletion ----
+
+/// Node 0 with neighbors A = 1 and B = 2, fed messages by hand.  Both
+/// chains carry the far edges {1,3} and {3,4}:
+///   chain A: [1], [1,3], [1,3,4], [1,4], [1,4,3]
+///   chain B: [2], [2,3], [2,3,1], [2,3,4]
+class ChainScopedDeletion : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::array<EdgeEvent, 2> own{EdgeEvent::insert(0, 1),
+                                       EdgeEvent::insert(0, 2)};
+    net::Outbox out;
+    node_.react_and_send(ctx_, own, out);
+    for (const std::array<NodeId, 3>& path :
+         {std::array<NodeId, 3>{1, 3, 4}, std::array<NodeId, 3>{1, 4, 3},
+          std::array<NodeId, 3>{2, 3, 1}, std::array<NodeId, 3>{2, 3, 4}}) {
+      deliver(path[0], net::WireMessage::path_insert(path));
+    }
+    ASSERT_EQ(paths(), (std::vector<std::string>{
+                           "1", "1-3", "1-3-4", "1-4", "1-4-3", "2", "2-3",
+                           "2-3-1", "2-3-4"}));
+  }
+
+  void deliver(NodeId from, net::WireMessage msg) {
+    const std::array<net::Inbox::Item, 1> items{{{from, std::move(msg)}}};
+    node_.receive_and_update(ctx_, net::Inbox{items, {}, {}});
+  }
+
+  /// The node's exact discovery-path set, as sorted "h1-h2-h3" strings.
+  [[nodiscard]] std::vector<std::string> paths() const {
+    std::vector<std::string> out;
+    for (const core::PathKey& pk : node_.paths()) {
+      std::string s;
+      for (std::uint8_t j = 0; j < pk.len; ++j) {
+        if (j > 0) s += '-';
+        s += std::to_string(pk.hops[j]);
+      }
+      out.push_back(std::move(s));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  const net::NodeContext ctx_{.self = 0, .n = 5, .round = 1};
+  Robust3HopNode node_{0, 5};
+};
+
+TEST_F(ChainScopedDeletion, OwnRelayKillsOnlyItsChainsPaths) {
+  // A deleted {1,3} and relays it at l = 0: A's paths through {1,3} die,
+  // chain B's [2,3,1] survives, and so does the edge.
+  deliver(1, net::WireMessage::path_delete(Edge(1, 3), 0, kNoNode));
+  EXPECT_EQ(paths(), (std::vector<std::string>{"1", "1-4", "1-4-3", "2",
+                                               "2-3", "2-3-1", "2-3-4"}));
+  EXPECT_TRUE(node_.known_edges().contains(Edge(1, 3)));
+  EXPECT_TRUE(node_.known_edges().contains(Edge(3, 4)));
+}
+
+TEST_F(ChainScopedDeletion, ForwardedRelayKillsOnlyItsViaPaths) {
+  // 3 deleted {3,4}; A forwards the relay it got from 3 (l = 1, via 3).
+  // Only [1,3,*] paths through {3,4} die: A's [1,4,3] and chain B's
+  // [2,3,4] survive.
+  deliver(1, net::WireMessage::path_delete(Edge(3, 4), 1, 3));
+  EXPECT_EQ(paths(),
+            (std::vector<std::string>{"1", "1-3", "1-4", "1-4-3", "2", "2-3",
+                                      "2-3-1", "2-3-4"}));
+  // The same relay through via 4 kills [1,4,3]; B still holds the edge.
+  deliver(1, net::WireMessage::path_delete(Edge(3, 4), 1, 4));
+  EXPECT_EQ(paths(), (std::vector<std::string>{"1", "1-3", "1-4", "2", "2-3",
+                                               "2-3-1", "2-3-4"}));
+  EXPECT_TRUE(node_.known_edges().contains(Edge(3, 4)));
+  // B forwards the relay it got from 3: the last witness dies.
+  deliver(2, net::WireMessage::path_delete(Edge(3, 4), 1, 3));
+  EXPECT_EQ(paths(), (std::vector<std::string>{"1", "1-3", "1-4", "2", "2-3",
+                                               "2-3-1"}));
+  EXPECT_FALSE(node_.known_edges().contains(Edge(3, 4)));
 }
 
 // ----------------------------------------------------- property sweep ----

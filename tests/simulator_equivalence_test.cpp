@@ -38,6 +38,7 @@
 #include "net/simulator.hpp"
 #include "net/trace.hpp"
 #include "net/workload.hpp"
+#include "scenario/compose.hpp"
 #include "sim_test_util.hpp"
 
 namespace dynsub {
@@ -113,6 +114,36 @@ auto known_edges_of() {
   return [](const net::Simulator& sim, NodeId v) {
     return dynamic_cast<const NodeT&>(sim.node(v)).known_edges();
   };
+}
+
+/// Robust3Hop's full discovery-path set: stricter than known_edges, since
+/// every chain-scoped deletion shows up in it even when the edge survives
+/// along another chain.
+FlatSet<core::PathKey> paths_of(const net::Simulator& sim, NodeId v) {
+  return dynamic_cast<const core::Robust3HopNode&>(sim.node(v)).paths();
+}
+
+/// Deletion-heavy random churn: a growth stage builds a dense graph, then a
+/// shrink stage deletes it down to a fifth of its size in batches that are
+/// 90% deletions.
+scenario::SequenceWorkload deletion_heavy_churn(std::size_t n,
+                                                std::uint64_t seed) {
+  dynamics::RandomChurnParams grow;
+  grow.n = n;
+  grow.target_edges = 100;
+  grow.max_changes = 12;
+  grow.rounds = 25;
+  grow.seed = seed;
+  dynamics::RandomChurnParams shrink = grow;
+  shrink.target_edges = 20;
+  shrink.max_changes = 6;
+  shrink.delete_fraction = 0.9;
+  shrink.rounds = 40;
+  shrink.seed = seed + 1;
+  std::vector<std::unique_ptr<net::Workload>> stages;
+  stages.push_back(std::make_unique<dynamics::RandomChurnWorkload>(grow));
+  stages.push_back(std::make_unique<dynamics::RandomChurnWorkload>(shrink));
+  return scenario::SequenceWorkload(std::move(stages));
 }
 
 /// The tentpole's equivalence matrix: a sequential reference engine driven
@@ -233,6 +264,14 @@ TEST(SimulatorEquivalence, Robust3HopUnderPlantedCycles) {
   EXPECT_EQ(core::audit_cycle_listing(e.dense), std::nullopt);
 }
 
+TEST(SimulatorEquivalence, Robust3HopUnderDeletionHeavyChurn) {
+  auto wl = deletion_heavy_churn(28, 0xE5u);
+  EnginePair e(28, testing::factory_of<core::Robust3HopNode>());
+  drive_lockstep(e, wl, paths_of);
+  EXPECT_EQ(core::audit_robust3hop(e.sparse), std::nullopt);
+  EXPECT_EQ(core::audit_robust3hop(e.dense), std::nullopt);
+}
+
 TEST(SimulatorEquivalence, TriangleUnderFlickerAdversary) {
   const auto scenario = dynamics::make_repeated_flicker_scenario(12, 3);
   net::ScriptedWorkload wl(scenario.script);
@@ -331,6 +370,13 @@ TEST(ParallelEquivalence, Robust3HopUnderPlantedCycles) {
   drive_lockstep_parallel(pp.n, testing::factory_of<core::Robust3HopNode>(),
                           wl, known_edges_of<core::Robust3HopNode>(),
                           /*dense=*/false, core::audit_robust3hop);
+}
+
+TEST(ParallelEquivalence, Robust3HopUnderDeletionHeavyChurn) {
+  auto wl = deletion_heavy_churn(28, 0xF8u);
+  drive_lockstep_parallel(28, testing::factory_of<core::Robust3HopNode>(),
+                          wl, paths_of, /*dense=*/false,
+                          core::audit_robust3hop);
 }
 
 TEST(ParallelEquivalence, TriangleUnderFlickerAdversary) {
