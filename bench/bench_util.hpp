@@ -13,6 +13,8 @@
 //                   every binary this way to feed the perf trajectory
 #pragma once
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -88,6 +90,14 @@ struct PerfAccumulator {
 inline PerfAccumulator& perf_accumulator() {
   static PerfAccumulator acc;
   return acc;
+}
+
+/// The process's peak resident set size so far, in MiB (Linux reports
+/// ru_maxrss in KiB).
+inline double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 struct BenchOptions {
@@ -286,8 +296,8 @@ class Bench {
 
   /// Writes the JSON document if --json was given; returns main()'s exit
   /// code (1 on write failure).  Folds the process-wide perf aggregate
-  /// into the document first, so every BENCH_*.json carries rounds_per_sec
-  /// and the per-phase engine time split.
+  /// into the document first, so every BENCH_*.json carries rounds_per_sec,
+  /// the per-phase engine time split and the process's peak RSS.
   [[nodiscard]] int finish() {
     const PerfAccumulator& perf = perf_accumulator();
     if (perf.rounds.load(std::memory_order_relaxed) > 0) {
@@ -322,6 +332,9 @@ class Bench {
                     static_cast<unsigned long long>(latency.count()));
       }
     }
+    const double rss_mb = peak_rss_mb();
+    metric("perf.peak_rss_mb", rss_mb);
+    std::printf("peak RSS: %.1f MB\n", rss_mb);
     if (opts_.json_path.empty()) return 0;
     if (!harness::write_json_file(opts_.json_path, doc_)) {
       std::fprintf(stderr, "failed to write results to %s\n",

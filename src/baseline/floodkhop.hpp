@@ -18,8 +18,7 @@
 // the benches need, and is documented in DESIGN.md.
 #pragma once
 
-#include <deque>
-
+#include "common/fifo.hpp"
 #include "common/flat_set.hpp"
 #include "net/local_view.hpp"
 #include "net/node.hpp"
@@ -61,7 +60,7 @@ class FloodKHopNode final : public net::NodeProgram {
   /// Edge -> hop estimate (0 = incident).
   FlatMap<Edge, std::uint8_t> known_;
   /// Outgoing FIFO per current neighbor.
-  FlatMap<NodeId, std::deque<net::WireMessage>> out_queues_;
+  FlatMap<NodeId, Fifo<net::WireMessage>> out_queues_;
   bool consistent_ = true;
   bool busy_at_send_ = false;
 };

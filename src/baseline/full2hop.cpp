@@ -55,7 +55,7 @@ void FullTwoHopNode::react_and_send(const net::NodeContext& ctx,
       }
     } else {
       // Fresh link: new queue, full snapshot toward u, notice to everyone.
-      out_queues_.try_emplace(u, std::deque<net::WireMessage>{});
+      out_queues_.try_emplace(u, Fifo<net::WireMessage>{});
       nbr_sets_.try_emplace(u, DenseBitset(n_));
       for (auto& [w, q] : out_queues_) {
         if (w == u) continue;

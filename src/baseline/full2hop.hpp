@@ -20,9 +20,8 @@
 // of its queues are empty and no neighbor declared a non-empty queue.
 #pragma once
 
-#include <deque>
-
 #include "common/bitset.hpp"
+#include "common/fifo.hpp"
 #include "common/flat_set.hpp"
 #include "net/local_view.hpp"
 #include "net/node.hpp"
@@ -74,7 +73,7 @@ class FullTwoHopNode final : public net::NodeProgram {
   std::size_t n_;
   net::LocalView view_;
   /// Outgoing FIFO per current neighbor.
-  FlatMap<NodeId, std::deque<net::WireMessage>> out_queues_;
+  FlatMap<NodeId, Fifo<net::WireMessage>> out_queues_;
   /// N_u bitmap for each current neighbor u.
   FlatMap<NodeId, DenseBitset> nbr_sets_;
   bool consistent_ = true;

@@ -16,8 +16,7 @@
 // identical schedule.
 #pragma once
 
-#include <deque>
-
+#include "common/fifo.hpp"
 #include "common/flat_set.hpp"
 #include "net/local_view.hpp"
 #include "net/node.hpp"
@@ -53,7 +52,7 @@ class NaiveTwoHopNode final : public net::NodeProgram {
 
   net::LocalView view_;
   FlatSet<Edge> known_;
-  std::deque<Pending> queue_;
+  Fifo<Pending> queue_;
   bool consistent_ = true;
   bool busy_at_send_ = false;
 };

@@ -22,9 +22,9 @@
 //    neighbor's queue, is non-empty.
 #pragma once
 
-#include <deque>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/flat_set.hpp"
 #include "core/edge_knowledge.hpp"
 #include "net/local_view.hpp"
@@ -72,8 +72,8 @@ class Robust2HopNode final : public net::NodeProgram {
 
   net::LocalView view_;
   EdgeKnowledge knowledge_;
-  std::deque<Pending> queue_;  // Q_v
-  bool consistent_ = true;     // C_v
+  Fifo<Pending> queue_;     // Q_v
+  bool consistent_ = true;  // C_v
   bool busy_at_send_ = false;
 };
 

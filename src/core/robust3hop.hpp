@@ -61,9 +61,9 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/flat_set.hpp"
 #include "net/local_view.hpp"
 #include "net/node.hpp"
@@ -204,7 +204,7 @@ class Robust3HopNode final : public net::NodeProgram {
   net::LocalView view_;
   FlatSet<PathKey> paths_;                   // S_v, ordered by hops
   FlatMap<Edge, std::uint32_t> edge_paths_;  // paths ending in each edge
-  std::deque<Pending> queue_;                // Q_v
+  Fifo<Pending> queue_;                      // Q_v
   FlatSet<PendingKey> queued_keys_;
   bool consistent_ = true;
   bool busy_at_send_ = false;

@@ -50,7 +50,7 @@ void TriangleNode::react_and_send(const net::NodeContext& ctx,
     // Pending mark-(b) items that relied on the deleted link (either as
     // the owed edge or as the link to the recipient) are stale; drop them.
     // Any still-needed pattern is re-derived from re-insertion broadcasts.
-    std::erase_if(queue_, [&](const Pending& p) {
+    queue_.erase_if([&](const Pending& p) {
       return p.type == Pending::Type::kMarkB &&
              (p.edge.touches(u) || p.dst == u);
     });

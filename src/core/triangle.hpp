@@ -29,9 +29,9 @@
 //         receive half of the very round whose flags v has already seen).
 #pragma once
 
-#include <deque>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/flat_set.hpp"
 #include "core/edge_knowledge.hpp"
 #include "net/local_view.hpp"
@@ -97,7 +97,7 @@ class TriangleNode final : public net::NodeProgram {
 
   net::LocalView view_;
   EdgeKnowledge knowledge_;
-  std::deque<Pending> queue_;  // Q_v
+  Fifo<Pending> queue_;  // Q_v
   bool consistent_ = true;
   bool busy_at_send_ = false;
   bool quiet_prev_ = true;  // quiet(i-1), for the two-round rule (D2)

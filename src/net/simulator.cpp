@@ -25,7 +25,7 @@ Simulator::Simulator(std::size_t n, NodeFactory factory,
                      SimulatorConfig config)
     : config_(config),
       g_(n),
-      prev_g_(n),
+      prev_g_(config.track_prev_graph ? n : 0),
       consistent_(n, true),
       metrics_(n),
       events_by_node_(n),

@@ -103,7 +103,8 @@ struct SimulatorConfig {
   /// Assert per-link bandwidth and single-payload budget (disable only for
   /// baselines intentionally exceeding it -- none currently do).
   bool enforce_bandwidth = true;
-  /// Maintain G_{i-1}; costs O(changes) per round.
+  /// Maintain G_{i-1}; costs O(changes) per round and a second O(n)
+  /// adjacency, which is not allocated at all when false.
   bool track_prev_graph = true;
   /// Sparse active-set rounds (see the header comment).  false = the seed
   /// engine's dense semantics: every node stepped every round.  Kept as

@@ -1,5 +1,6 @@
 #include "oracle/timestamped_graph.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "common/check.hpp"
@@ -34,15 +35,18 @@ void TimestampedGraph::apply(const EdgeEvent& ev, Round round) {
 
 bool TimestampedGraph::batch_applicable(
     std::span<const EdgeEvent> batch) const {
-  FlatSet<Edge> seen;
+  std::vector<Edge> edges;
+  edges.reserve(batch.size());
   for (const auto& ev : batch) {
     if (ev.edge.hi() >= adj_.size()) return false;
-    if (!seen.insert(ev.edge)) return false;  // same edge twice in one round
     const bool present = has_edge(ev.edge);
     if (ev.kind == EventKind::kInsert && present) return false;
     if (ev.kind == EventKind::kDelete && !present) return false;
+    edges.push_back(ev.edge);
   }
-  return true;
+  // Same edge twice in one round: one sort, O(k log k) for k events.
+  std::sort(edges.begin(), edges.end());
+  return std::adjacent_find(edges.begin(), edges.end()) == edges.end();
 }
 
 std::vector<std::uint32_t> TimestampedGraph::distances_from(NodeId v) const {

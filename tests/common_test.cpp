@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
+#include <string>
 
+#include "alloc_counter.hpp"
 #include "common/bitset.hpp"
 #include "common/edge.hpp"
+#include "common/fifo.hpp"
 #include "common/flat_set.hpp"
 #include "common/format.hpp"
 #include "common/rng.hpp"
@@ -146,6 +150,75 @@ TEST(FlatMapTest, SortedIteration) {
     EXPECT_EQ(v, k * 10);
   }
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+}
+
+// ---------------------------------------------------------------- Fifo ----
+
+// Seeded random push_back / pop_front / erase_if sequences on a Fifo and a
+// std::deque must leave identical contents after every operation.  The push
+// bias alternates every 300 operations, so the queue fills to dozens of
+// items and drains again many times, crossing both the drained reset and
+// the half-consumed compaction.
+TEST(FifoTest, MatchesDequeOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    Fifo<std::uint64_t> fifo;
+    std::deque<std::uint64_t> ref;
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t push_pct = (op / 300) % 2 == 0 ? 70 : 30;
+      const std::uint64_t roll = rng.next_below(100);
+      if (roll < 3) {
+        const std::uint64_t mod = 2 + rng.next_below(4);
+        const auto pred = [mod](std::uint64_t x) { return x % mod == 0; };
+        ASSERT_EQ(fifo.erase_if(pred), std::erase_if(ref, pred));
+      } else if (roll < 3 + push_pct) {
+        const std::uint64_t x = rng.next_u64();
+        fifo.push_back(x);
+        ref.push_back(x);
+      } else if (!ref.empty()) {
+        ASSERT_EQ(fifo.front(), ref.front());
+        fifo.pop_front();
+        ref.pop_front();
+      }
+      ASSERT_EQ(fifo.size(), ref.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(fifo.empty(), ref.empty());
+      ASSERT_TRUE(std::equal(fifo.begin(), fifo.end(), ref.begin(), ref.end()))
+          << "seed " << seed << " op " << op;
+      for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(fifo[i], ref[i]);
+    }
+  }
+}
+
+// A moved-from Fifo is empty (its head index goes with the items), which
+// is what FlatMap<K, Fifo<T>> relies on when it shifts entries.
+TEST(FifoTest, MovedFromIsEmptyAndReusable) {
+  Fifo<std::string> a;
+  for (const char* s : {"x", "y", "z"}) a.push_back(s);
+  a.pop_front();
+  Fifo<std::string> b = std::move(a);
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.front(), "y");
+  a.push_back("w");
+  EXPECT_EQ(a.front(), "w");
+  b = std::move(a);
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0], "w");
+}
+
+// An idle node program's queue owns no heap: a thousand default-constructed
+// Fifos cost one allocation, their vector's.
+TEST(FifoTest, DefaultConstructedNeverAllocates) {
+  std::size_t allocations = 0;
+  std::size_t queued = 0;
+  {
+    testing::AllocationCounter counter;
+    const std::vector<Fifo<std::string>> fifos(1000);
+    for (const auto& f : fifos) queued += f.size();
+    allocations = counter.count();
+  }
+  EXPECT_EQ(queued, 0u);
+  EXPECT_EQ(allocations, 1u);
 }
 
 // ----------------------------------------------------------------- Rng ----

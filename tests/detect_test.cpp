@@ -1,6 +1,6 @@
 // Tests for the detector subsystem: the registry (names, strict typed
-// params, spec fuzz), the uniform query/listing surface, kInconsistent
-// propagation, and the Session facade.
+// params, spec fuzz), the idle node-program footprint, the uniform
+// query/listing surface, kInconsistent propagation, and the Session facade.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "detect/registry.hpp"
 #include "detect/session.hpp"
@@ -149,6 +150,32 @@ TEST(DetectRegistryTest, FuzzMutatedSpecsNeverCrashTheRegistry) {
         EXPECT_EQ(scenario::to_string(*canon), detector->info().spec);
       }
     }
+  }
+}
+
+// ------------------------------------------------------------ footprint ----
+
+// At O(1) amortized rounds nearly every node is idle nearly all the time, so
+// an idle node program must own no heap beyond its own object: building N
+// programs through any registry detector's factory makes exactly N
+// allocations.
+TEST(DetectFootprintTest, IdleProgramsAllocateOnlyThemselves) {
+  constexpr std::size_t kNodes = 512;
+  for (const auto& entry : detect::detector_catalog()) {
+    const auto detector = detect::build_detector(entry.example);
+    ASSERT_NE(detector, nullptr) << entry.example;
+    const net::NodeFactory factory = detector->factory();
+    std::vector<std::unique_ptr<net::NodeProgram>> programs;
+    programs.reserve(kNodes);
+    std::size_t allocations = 0;
+    {
+      testing::AllocationCounter counter;
+      for (NodeId v = 0; v < kNodes; ++v) {
+        programs.push_back(factory(v, kNodes));
+      }
+      allocations = counter.count();
+    }
+    EXPECT_EQ(allocations, kNodes) << entry.example;
   }
 }
 

@@ -59,6 +59,17 @@ TEST(TimestampedGraphTest, BatchValidation) {
   // Invalid: deleting an absent edge.
   EXPECT_FALSE(g.batch_applicable(
       std::vector<EdgeEvent>{EdgeEvent::remove(2, 3)}));
+
+  // Invalid: in a batch of thousands, the first event's edge comes back as
+  // the last event; each event alone is applicable.
+  TimestampedGraph big(6000);
+  std::vector<EdgeEvent> batch;
+  for (NodeId v = 0; v + 1 < 6000; ++v) {
+    batch.push_back(EdgeEvent::insert(v, v + 1));
+  }
+  EXPECT_TRUE(big.batch_applicable(batch));
+  batch.push_back(EdgeEvent::insert(1, 0));
+  EXPECT_FALSE(big.batch_applicable(batch));
 }
 
 TEST(TimestampedGraphTest, DistancesBfs) {
