@@ -1,5 +1,6 @@
 #include "net/router.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -188,9 +189,13 @@ void Router::begin_round(Round round) {
 void Router::validate_outbox(NodeId sender, const Outbox& out,
                              const oracle::TimestampedGraph& graph,
                              std::vector<NodeId>& dst_scratch) const {
+  // A link of G_i is an entry of the sender's sorted adjacency: a search
+  // over its degree, not over the global edge map.
+  const std::span<const NodeId> neighbors = graph.neighbors(sender);
   for (const auto& dm : out.directed()) {
     DYNSUB_CHECK_MSG(dm.dst < n_, "node " << sender << " sent to bad id");
-    DYNSUB_CHECK_MSG(graph.has_edge(Edge(sender, dm.dst)),
+    DYNSUB_CHECK_MSG(std::binary_search(neighbors.begin(), neighbors.end(),
+                                        dm.dst),
                      "round " << round_ << ": node " << sender
                               << " sent over absent link to " << dm.dst);
     if (config_.enforce_bandwidth) {
@@ -498,12 +503,6 @@ void Router::collect_lane_destinations(std::size_t lane,
     (void)sender;
     out->push_back(dst);
   }
-}
-
-void Router::debug_prime_epoch_wrap(std::uint64_t steps) {
-  payloads_.debug_prime_epoch_wrap(steps);
-  busy_.debug_prime_epoch_wrap(steps);
-  two_hop_.debug_prime_epoch_wrap(steps);
 }
 
 }  // namespace dynsub::net

@@ -2,23 +2,20 @@
 // staging batches, and the first-class Router layer the round engine's
 // message path runs on.
 //
-// Three layers, bottom up:
+// Two layers, bottom up:
 //
-//   * DestBuckets<T> -- the single-lane (destination -> items) multimap the
-//     engine has used since the sparse rewrite: one flat staged buffer
-//     scattered into contiguous per-destination ranges by a stable counting
-//     sort on destination.  Still used for the sequential Phase 0 event
-//     fan-out.
-//
-//   * ShardedBuckets<T> -- the multi-lane variant.  Each worker lane appends
-//     to its own staging vector with no shared state (stage() is data-race
-//     free across lanes by construction), and merge() runs the counting
-//     sort over all lanes in *lane-major order* at the round barrier.
-//     Because the engine hands lanes contiguous ascending shards of the
-//     active set, lane-major order IS ascending sender order, so
-//     per-destination ranges come out sender-sorted exactly as the
-//     single-lane code produced them -- the bit-identical guarantee the
-//     ParallelEquivalence suite locks holds at every lane count.
+//   * ShardedBuckets<T> -- the engine's one (destination -> items)
+//     multimap: the Phase 0 event fan-out is a one-lane instance, the
+//     Router's payload / busy / two-hop buffers have one lane per staging
+//     slot.  Each lane appends to its own staging vector with no shared
+//     state (stage() is data-race free across lanes by construction), and
+//     merge() runs a stable counting sort over all lanes in *lane-major
+//     order* at the round barrier.  Because the engine hands lanes
+//     contiguous ascending shards of the active set, lane-major order IS
+//     ascending sender order, so per-destination ranges come out
+//     sender-sorted exactly as a single lane produces them -- the
+//     bit-identical guarantee the ParallelEquivalence suite locks holds at
+//     every lane count.
 //
 //   * Router -- the routing layer itself.  Lanes validate and stage their
 //     shard's outbox traffic (payloads, bandwidth bits, duplicate-
@@ -29,8 +26,16 @@
 //     serializable wire form (LaneBatchHeader + encode_lane/decode_lane),
 //     so the same path can later carry cross-process shard traffic.
 //
-// All buffers persist across rounds (capacity is retained), previously
-// built buckets are invalidated in O(1) by an epoch bump, and a decay
+// Per destination a bucket stores one 4-byte slot index into the round's
+// touched list; item counts and offsets live per touched slot.  A slot is
+// believed only when it points back at its destination (sparse-set style:
+// slot < touched.size() && touched[slot] == dst).  The touched list is
+// cleared every round, so a slot left over from any earlier round either
+// points past the list or at another destination and reads empty -- no
+// per-destination state is ever reset, and there is no epoch counter that
+// could wrap.
+//
+// All buffers persist across rounds (capacity is retained), and a decay
 // policy periodically returns capacity after a traffic burst so one heavy
 // round (e.g. a dense bootstrap at large n) does not pin its high-water
 // memory forever.
@@ -55,103 +60,16 @@ class TimestampedGraph;
 
 namespace dynsub::net {
 
-/// Largest staged-item count the 32-bit bucket index space (count_ /
-/// offset_ / cursor_ entries) can address.  Staging more in one round
-/// would silently wrap the counters and corrupt every bucket; both bucket
-/// variants abort loudly instead.
+/// Largest staged-item count the 32-bit bucket index space (slot, count
+/// and offset entries) can address.  Staging more in one round would
+/// silently wrap the counters and corrupt every bucket; merge() aborts
+/// loudly instead.
 inline constexpr std::size_t kMaxBucketItems =
     std::numeric_limits<std::uint32_t>::max();
 
-template <typename T>
-class DestBuckets {
- public:
-  explicit DestBuckets(std::size_t n)
-      : mark_(n, 0), count_(n, 0), offset_(n, 0), cursor_(n, 0) {}
-
-  /// Starts a new round: previously built buckets become invalid in O(1)
-  /// (epoch bump), no per-destination state is cleared.
-  void begin_round() {
-    staged_.clear();
-    touched_.clear();
-    if (++epoch_ == 0) {
-      // std::uint64_t wrap: stamps from the first life of these epoch
-      // values would alias fresh ones, serving stale buckets and skipping
-      // count resets in add().  Re-zero every stamp and restart above 0.
-      std::fill(mark_.begin(), mark_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  /// Test hook: primes the epoch counter to within `steps` increments of
-  /// the std::uint64_t wrap (regression coverage for the reset above).
-  void debug_prime_epoch_wrap(std::uint64_t steps) {
-    epoch_ = ~std::uint64_t{0} - steps;
-  }
-
-  /// Stages one item for `dst`.  Per-destination item order is staging
-  /// order (the scatter below is stable).
-  void add(NodeId dst, T item) {
-    DYNSUB_DCHECK(dst < mark_.size());
-    if (mark_[dst] != epoch_) {
-      mark_[dst] = epoch_;
-      count_[dst] = 0;
-      touched_.push_back(dst);
-    }
-    ++count_[dst];
-    staged_.emplace_back(dst, std::move(item));
-  }
-
-  /// Scatters the staged items into contiguous per-destination ranges.
-  /// Two O(items staged) passes: prefix offsets over the touched
-  /// destinations, then a stable permutation so items are *moved* into
-  /// place with sequential push_backs (no default construction of T, no
-  /// reallocation in steady state).
-  void build() {
-    DYNSUB_CHECK_MSG(staged_.size() <= kMaxBucketItems,
-                     "DestBuckets: " << staged_.size()
-                                     << " staged items overflow the 32-bit "
-                                        "bucket index space");
-    std::uint32_t running = 0;
-    for (NodeId dst : touched_) {
-      offset_[dst] = running;
-      cursor_[dst] = running;
-      running += count_[dst];
-    }
-    perm_.resize(staged_.size());
-    for (std::uint32_t j = 0; j < staged_.size(); ++j) {
-      perm_[cursor_[staged_[j].first]++] = j;
-    }
-    items_.clear();
-    for (std::uint32_t j : perm_) items_.push_back(std::move(staged_[j].second));
-  }
-
-  /// Items staged for `dst` this round (empty span when none).
-  [[nodiscard]] std::span<const T> bucket(NodeId dst) const {
-    if (dst >= mark_.size() || mark_[dst] != epoch_) return {};
-    return {items_.data() + offset_[dst], count_[dst]};
-  }
-
-  /// Destinations that received at least one item this round, in first-
-  /// touch order (not sorted).
-  [[nodiscard]] const std::vector<NodeId>& touched() const { return touched_; }
-
-  [[nodiscard]] std::size_t total() const { return staged_.size(); }
-
- private:
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> mark_;    // epoch stamp per destination
-  std::vector<std::uint32_t> count_;   // valid when mark_ == epoch_
-  std::vector<std::uint32_t> offset_;  // valid after build()
-  std::vector<std::uint32_t> cursor_;  // build() scratch (write position)
-  std::vector<NodeId> touched_;
-  std::vector<std::pair<NodeId, T>> staged_;
-  std::vector<std::uint32_t> perm_;
-  std::vector<T> items_;
-};
-
-/// Multi-lane DestBuckets: lanes stage concurrently into lane-private
-/// buffers, the barrier merges them with one deterministic lane-major
-/// counting sort.  See the header comment for the ordering guarantee.
+/// Per-destination buckets filled by one or more staging lanes and merged
+/// at the barrier with one deterministic lane-major counting sort.  See the
+/// header comment for the ordering guarantee and the slot index.
 template <typename T>
 class ShardedBuckets {
  public:
@@ -160,8 +78,8 @@ class ShardedBuckets {
   /// crowd) grows the staging buffers to its size; without decay that
   /// high-water capacity is pinned forever.  Every kDecayWindow rounds the
   /// buffers are shrunk to 2x the window's peak usage (never below
-  /// kDecayFloor items), so steady-state rounds stay allocation-free while
-  /// burst memory is returned within two windows.
+  /// kDecayFloor entries), so steady-state rounds stay allocation-free
+  /// while burst memory is returned within two windows.
   static constexpr std::size_t kDecayWindow = 64;
   static constexpr std::size_t kDecayFloor = 256;
 
@@ -169,34 +87,24 @@ class ShardedBuckets {
       : ShardedBuckets(0, n, lanes) {}
 
   /// Variant owning only the destination range [base, base + count): the
-  /// per-destination index arrays are sized `count` and addressed by
-  /// dst - base, so S per-shard instances over disjoint ranges cost the
-  /// same index memory as one global instance.  touched() still reports
-  /// global ids.
+  /// slot index is sized `count` and addressed by dst - base, so S
+  /// per-shard instances over disjoint ranges cost the same index memory
+  /// as one global instance.  touched() still reports global ids.
   ShardedBuckets(NodeId base, std::size_t count, std::size_t lanes)
-      : base_(base),
-        mark_(count, 0),
-        count_(count, 0),
-        offset_(count, 0),
-        cursor_(count, 0),
-        staged_(lanes) {
+      : base_(base), slot_(count, 0), staged_(lanes) {
     DYNSUB_CHECK(lanes >= 1);
   }
 
   [[nodiscard]] std::size_t lanes() const { return staged_.size(); }
 
-  /// Starts a new round: O(lanes) clears plus an O(1) epoch bump; runs the
-  /// capacity-decay sweep when its window elapsed.
+  /// Starts a new round: O(lanes) clears, after which every bucket reads
+  /// empty; runs the capacity-decay sweep when its window elapsed.
   void begin_round() {
     window_peak_ = std::max(window_peak_, last_total_);
     last_total_ = 0;
     for (auto& lane : staged_) lane.clear();
     touched_.clear();
-    if (++epoch_ == 0) {
-      // Same std::uint64_t wrap hazard as DestBuckets: re-zero the stamps.
-      std::fill(mark_.begin(), mark_.end(), 0);
-      epoch_ = 1;
-    }
+    count_.clear();
     if (++rounds_since_decay_ >= kDecayWindow) {
       decay();
       rounds_since_decay_ = 0;
@@ -204,23 +112,19 @@ class ShardedBuckets {
     }
   }
 
-  /// Test hook: primes the epoch counter to within `steps` increments of
-  /// the std::uint64_t wrap.
-  void debug_prime_epoch_wrap(std::uint64_t steps) {
-    epoch_ = ~std::uint64_t{0} - steps;
-  }
-
   /// Stages one item for `dst` on `lane`.  Touches only lane-private
   /// state: concurrent stage() calls on distinct lanes never race.
   void stage(std::size_t lane, NodeId dst, T item) {
     DYNSUB_DCHECK(lane < staged_.size());
-    DYNSUB_DCHECK(dst >= base_ && dst - base_ < mark_.size());
+    DYNSUB_DCHECK(dst >= base_ && dst - base_ < slot_.size());
     staged_[lane].emplace_back(dst, std::move(item));
   }
 
   /// Barrier-side merge: one stable counting sort over every lane's staged
   /// items, walked in lane-major order (lane 0's items first, in staging
-  /// order, then lane 1's, ...).  Not safe concurrently with stage().
+  /// order, then lane 1's, ...).  Items are moved into place by sequential
+  /// push_backs in sorted order, so T needs no default constructor.  Not
+  /// safe concurrently with stage().
   void merge() {
     std::size_t total = 0;
     for (const auto& lane : staged_) total += lane.size();
@@ -230,38 +134,33 @@ class ShardedBuckets {
                                            "32-bit bucket index space");
     last_total_ = total;
     for (const auto& lane : staged_) {
-      for (const auto& [dst, item] : lane) {
-        const std::size_t d = dst - base_;
-        if (mark_[d] != epoch_) {
-          mark_[d] = epoch_;
-          count_[d] = 0;
-          touched_.push_back(dst);
-        }
-        ++count_[d];
-      }
+      for (const auto& entry : lane) ++count_[touch(entry.first)];
     }
+    offset_.resize(touched_.size());
+    cursor_.resize(touched_.size());
     std::uint32_t running = 0;
-    for (NodeId dst : touched_) {
-      const std::size_t d = dst - base_;
-      offset_[d] = running;
-      cursor_[d] = running;
-      running += count_[d];
+    for (std::size_t s = 0; s < touched_.size(); ++s) {
+      offset_[s] = running;
+      cursor_[s] = running;
+      running += count_[s];
     }
-    items_.resize(total);
+    order_.resize(total);
     for (auto& lane : staged_) {
-      for (auto& [dst, item] : lane) {
-        items_[cursor_[dst - base_]++] = std::move(item);
+      for (auto& entry : lane) {
+        order_[cursor_[slot_[entry.first - base_]]++] = &entry;
       }
     }
+    items_.clear();
+    for (auto* entry : order_) items_.push_back(std::move(entry->second));
   }
 
   /// Items merged for `dst` this round (empty span when none); valid after
   /// merge().
   [[nodiscard]] std::span<const T> bucket(NodeId dst) const {
-    if (dst < base_) return {};
-    const std::size_t d = dst - base_;
-    if (d >= mark_.size() || mark_[d] != epoch_) return {};
-    return {items_.data() + offset_[d], count_[d]};
+    if (dst < base_ || dst - base_ >= slot_.size()) return {};
+    const std::uint32_t s = slot_[dst - base_];
+    if (!live(s, dst)) return {};
+    return {items_.data() + offset_[s], count_[s]};
   }
 
   /// Destinations that received at least one item this round, in first-
@@ -288,41 +187,65 @@ class ShardedBuckets {
     return staged_[lane];
   }
 
-  /// Total item capacity currently retained by the staging and merge
-  /// buffers -- the quantity the decay policy bounds (regression-tested).
+  /// Total entry capacity currently retained by the per-round buffers --
+  /// staging lanes, merged items, the merge order and the per-slot arrays;
+  /// the quantity the decay policy bounds (regression-tested).
   [[nodiscard]] std::size_t retained_capacity() const {
-    std::size_t cap = items_.capacity();
+    std::size_t cap = items_.capacity() + order_.capacity() +
+                      touched_.capacity() + count_.capacity() +
+                      offset_.capacity() + cursor_.capacity();
     for (const auto& lane : staged_) cap += lane.capacity();
     return cap;
   }
 
  private:
+  /// True when `slot` is this round's slot of `dst` (the sparse-set test).
+  [[nodiscard]] bool live(std::uint32_t slot, NodeId dst) const {
+    return slot < touched_.size() && touched_[slot] == dst;
+  }
+
+  /// This round's slot of `dst`, claiming the next free one on first touch.
+  std::uint32_t touch(NodeId dst) {
+    std::uint32_t& slot = slot_[dst - base_];
+    if (!live(slot, dst)) {
+      slot = static_cast<std::uint32_t>(touched_.size());
+      touched_.push_back(dst);
+      count_.push_back(0);
+    }
+    return slot;
+  }
+
   void decay() {
     const std::size_t keep = std::max(window_peak_ * 2, kDecayFloor);
-    for (auto& lane : staged_) {
-      if (lane.capacity() > keep) {
-        // lane is empty here (begin_round cleared it): swap in a fresh
-        // buffer with bounded capacity instead of shrink_to_fit's zero.
-        std::vector<std::pair<NodeId, T>> shrunk;
-        shrunk.reserve(keep);
-        lane.swap(shrunk);
-      }
-    }
-    if (items_.capacity() > keep) {
-      std::vector<T> shrunk;
+    for (auto& lane : staged_) shrink(lane, keep);
+    shrink(items_, keep);
+    shrink(order_, keep);
+    shrink(touched_, keep);
+    shrink(count_, keep);
+    shrink(offset_, keep);
+    shrink(cursor_, keep);
+  }
+
+  /// Swaps a fresh buffer with capacity `keep` into `v` when `v` retains
+  /// more (instead of shrink_to_fit's zero).  Only called from
+  /// begin_round(), when no buffer holds anything still readable.
+  template <typename V>
+  static void shrink(V& v, std::size_t keep) {
+    if (v.capacity() > keep) {
+      V shrunk;
       shrunk.reserve(keep);
-      items_.swap(shrunk);
+      v.swap(shrunk);
     }
   }
 
-  std::uint64_t epoch_ = 0;
   NodeId base_ = 0;                    // first owned destination id
-  std::vector<std::uint64_t> mark_;    // epoch stamp per owned destination
-  std::vector<std::uint32_t> count_;   // valid when mark_ == epoch_
-  std::vector<std::uint32_t> offset_;  // valid after merge()
-  std::vector<std::uint32_t> cursor_;  // merge() scratch (write position)
-  std::vector<NodeId> touched_;        // global ids
+  std::vector<std::uint32_t> slot_;    // per owned destination; see live()
+  std::vector<NodeId> touched_;        // per slot: its destination (global)
+  std::vector<std::uint32_t> count_;   // per slot: items this round
+  std::vector<std::uint32_t> offset_;  // per slot: range start in items_
+  std::vector<std::uint32_t> cursor_;  // per slot: merge() write position
   std::vector<std::vector<std::pair<NodeId, T>>> staged_;  // per lane
+  std::vector<std::pair<NodeId, T>*> order_;  // merge(): staged, sorted
   std::vector<T> items_;
   std::size_t last_total_ = 0;
   std::size_t window_peak_ = 0;
@@ -568,11 +491,7 @@ class Router {
     lane_epoch_[lane] = epoch;
   }
 
-  /// Test hook: primes every internal epoch counter to within `steps`
-  /// increments of the std::uint64_t wrap.
-  void debug_prime_epoch_wrap(std::uint64_t steps);
-
-  /// Total item capacity retained across all routing buffers (the decay
+  /// Total entry capacity retained across all routing buffers (the decay
   /// policy's regression surface).
   [[nodiscard]] std::size_t retained_capacity() const {
     return payloads_.retained_capacity() + busy_.retained_capacity() +

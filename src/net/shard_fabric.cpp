@@ -147,10 +147,6 @@ void ShardFabric::collect_destinations(std::size_t shard, std::size_t slot,
   }
 }
 
-void ShardFabric::debug_prime_epoch_wrap(std::uint64_t steps) {
-  for (auto& r : routers_) r.debug_prime_epoch_wrap(steps);
-}
-
 std::size_t ShardFabric::retained_capacity() const {
   std::size_t cap = 0;
   for (const auto& r : routers_) cap += r.retained_capacity();

@@ -136,10 +136,7 @@ class ShardFabric {
     routers_[shard].set_wire_epoch(slot, epoch);
   }
 
-  /// Test hook: primes every router's epoch counters near the wrap.
-  void debug_prime_epoch_wrap(std::uint64_t steps);
-
-  /// Total item capacity retained across every router's routing buffers.
+  /// Total entry capacity retained across every router's routing buffers.
   [[nodiscard]] std::size_t retained_capacity() const;
 
  private:

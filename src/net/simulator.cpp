@@ -28,15 +28,14 @@ Simulator::Simulator(std::size_t n, NodeFactory factory,
       prev_g_(config.track_prev_graph ? n : 0),
       consistent_(n, true),
       metrics_(n),
-      events_by_node_(n),
+      events_by_node_(n, 1),
       shards_(std::max<std::size_t>(1, config.shards)),
       lanes_(std::max<std::size_t>(1, config.threads)),
       fabric_(n, lanes_, shards_, RouterConfig{config.enforce_bandwidth}),
       lane_outbox_(lanes_),
       lane_books_(lanes_ * shards_),
       active_mark_(n, 0),
-      degraded_(n, false),
-      pending_incident_(n, 0) {
+      degraded_(n, false) {
   DYNSUB_CHECK(n >= 1);
   metrics_.set_shards(shards_);
   nodes_.reserve(n);
@@ -90,7 +89,7 @@ void Simulator::mark_active(NodeId v) {
 
 void Simulator::bump_active_epoch() {
   if (++active_epoch_ == 0) {
-    // std::uint64_t wrap: stamps left over from the first life of epoch
+    // std::uint32_t wrap: stamps left over from the first life of epoch
     // values would alias fresh ones, silently dropping nodes from the
     // active set.  Re-zero every stamp and restart above the zero value
     // the stamps now hold.
@@ -104,10 +103,8 @@ void Simulator::set_sparse_rounds(bool enabled) {
   config_.sparse_rounds = enabled;
 }
 
-void Simulator::debug_prime_epoch_wrap(std::uint64_t steps) {
-  active_epoch_ = ~std::uint64_t{0} - steps;
-  events_by_node_.debug_prime_epoch_wrap(steps);
-  fabric_.debug_prime_epoch_wrap(steps);
+void Simulator::debug_prime_epoch_wrap(std::uint32_t steps) {
+  active_epoch_ = ~std::uint32_t{0} - steps;
 }
 
 void Simulator::react_shard(std::size_t lane, std::size_t begin,
@@ -348,6 +345,7 @@ std::span<const EdgeEvent> Simulator::reconcile_and_recover(
 }
 
 void Simulator::apply_loss() {
+  if (pending_incident_.empty()) pending_incident_.assign(nodes_.size(), 0);
   auto& lost = loss_.lost_destinations;
   std::sort(lost.begin(), lost.end());
   lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
@@ -437,8 +435,8 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   }
   for (const auto& ev : events) {
     g_.apply(ev, round_);
-    events_by_node_.add(ev.edge.lo(), ev);
-    events_by_node_.add(ev.edge.hi(), ev);
+    events_by_node_.stage(0, ev.edge.lo(), ev);
+    events_by_node_.stage(0, ev.edge.hi(), ev);
     metrics_.record_node_change(ev.edge.lo());
     metrics_.record_node_change(ev.edge.hi());
     if (!dense) {
@@ -446,7 +444,7 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
       mark_active(ev.edge.hi());
     }
   }
-  events_by_node_.build();
+  events_by_node_.merge();
   if (!dense) std::sort(active_.begin(), active_.end());
   Clock::time_point t1;
   if (timed) {

@@ -204,12 +204,12 @@ class Simulator {
   /// skip nodes that still want to act.
   void set_sparse_rounds(bool enabled);
 
-  /// Test hook: primes every internal epoch counter (active-set dedup,
-  /// per-destination duplicate checks, and all router buckets) to within
-  /// `steps` increments of the std::uint64_t wrap, so a short run crosses
-  /// it.  Locks the wrap-reset paths with a regression test; harmless to
-  /// call at any round boundary.
-  void debug_prime_epoch_wrap(std::uint64_t steps = 4);
+  /// Test hook: primes the active-set dedup epoch to within `steps`
+  /// increments of the std::uint32_t wrap, so a short run crosses it.
+  /// Locks the wrap-reset path with a regression test; harmless to call at
+  /// any round boundary.  (The event and routing buckets validate their
+  /// slot indices without an epoch; see net/router.hpp.)
+  void debug_prime_epoch_wrap(std::uint32_t steps = 4);
 
   /// G_i: the graph after the last step's changes.
   [[nodiscard]] const oracle::TimestampedGraph& graph() const { return g_; }
@@ -336,7 +336,7 @@ class Simulator {
   // Persistent, reused round state: the event fan-out buckets plus the
   // partitioned routing fabric (O(n) memory once, O(active + messages)
   // work per round, no steady-state allocation).
-  DestBuckets<EdgeEvent> events_by_node_;
+  ShardedBuckets<EdgeEvent> events_by_node_;  // one lane
   std::size_t shards_;                 // effective S (max(1, config.shards))
   std::size_t lanes_;                  // effective L (max(1, config.threads))
   ShardFabric fabric_;                 // the partitioned message path
@@ -348,15 +348,17 @@ class Simulator {
   std::vector<NodeId> receive_extra_; // pure receivers, ascending
   std::vector<NodeId> stepped_;       // ascending merge of the two, reused
   std::vector<NodeId> carry_;         // wants_to_act() carryover to next round
-  std::vector<std::uint64_t> active_mark_;  // epoch stamps for active_ dedup
-  std::uint64_t active_epoch_ = 0;
+  std::vector<std::uint32_t> active_mark_;  // epoch stamps for active_ dedup
+  std::uint32_t active_epoch_ = 0;
   bool bootstrap_ = false;  // dense round pending after set_sparse_rounds
   // Transport seam + degraded-mode recovery state.  The pending vectors
   // are kept sorted (deterministic flicker emission order); an edge lives
   // in at most one of them: pending_delete_ holds present edges awaiting
   // their flicker delete, pending_reinsert_ holds flicker-deleted edges
   // awaiting reinsertion.  pending_incident_[v] counts pipeline edges
-  // touching v -- zero (on a clean round) is the undegrade condition.
+  // touching v -- zero (on a clean round) is the undegrade condition.  Only
+  // a lost batch starts the pipeline, so apply_loss() sizes it on first
+  // use and a run without loss never allocates it.
   std::unique_ptr<Transport> transport_;
   LossReport loss_;                     // per-round scratch
   bool round_had_loss_ = false;

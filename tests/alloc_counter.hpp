@@ -1,5 +1,6 @@
 // Counting replacement of the global operator new, for tests that assert
-// how many heap allocations an operation makes.
+// how many heap allocations an operation makes and how many bytes it
+// requests.
 //
 // Include it from exactly one source file of a test binary: it defines the
 // replaceable global allocation functions, so the whole binary allocates
@@ -18,13 +19,15 @@ namespace dynsub::testing {
 
 inline std::atomic<bool> counting_allocations{false};
 inline std::atomic<std::size_t> counted_allocations{0};
+inline std::atomic<std::size_t> counted_bytes{0};
 
 /// Counts the global operator new calls made, on any thread, while it is
-/// alive.
+/// alive, and totals the bytes they request.
 class AllocationCounter {
  public:
   AllocationCounter() {
     counted_allocations.store(0);
+    counted_bytes.store(0);
     counting_allocations.store(true);
   }
   ~AllocationCounter() { counting_allocations.store(false); }
@@ -34,11 +37,14 @@ class AllocationCounter {
   [[nodiscard]] std::size_t count() const {
     return counted_allocations.load();
   }
+  /// Bytes requested (not the allocator's rounded-up chunk sizes).
+  [[nodiscard]] std::size_t bytes() const { return counted_bytes.load(); }
 };
 
 inline void* counted_malloc(std::size_t size) noexcept {
   if (counting_allocations.load(std::memory_order_relaxed)) {
     counted_allocations.fetch_add(1, std::memory_order_relaxed);
+    counted_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   return std::malloc(size == 0 ? 1 : size);
 }

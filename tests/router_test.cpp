@@ -1,14 +1,16 @@
 // Unit tests for the sharded routing fabric (net/router.hpp): lane-major
-// merge determinism, cross-lane duplicate-destination semantics, epoch-wrap
-// resets, the capacity-decay policy, and the lane batch wire format.
+// merge determinism, cross-lane duplicate-destination semantics, stale
+// bucket slots, the capacity-decay policy, and the lane batch wire format.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "net/message.hpp"
 #include "net/router.hpp"
 #include "net/shard_fabric.hpp"
@@ -20,56 +22,99 @@ namespace {
 
 // ----------------------------------------------------- ShardedBuckets ----
 
-/// Stages the same (dst, value) stream into a single-lane DestBuckets and a
-/// multi-lane ShardedBuckets (split into contiguous shards) and asserts
-/// identical per-destination buckets and touched order.
-TEST(ShardedBucketsTest, LaneMajorMergeMatchesSingleLaneReference) {
-  const std::size_t n = 16;
-  const std::vector<std::pair<NodeId, int>> stream = {
-      {3, 100}, {7, 101}, {3, 102}, {0, 103}, {7, 104},
-      {7, 105}, {1, 106}, {3, 107}, {0, 108}, {15, 109}};
+/// Stages `stream` into a ShardedBuckets at 1..4 lanes (the stream split
+/// into contiguous shards, exactly the WorkerPool's split) and asserts the
+/// merge matches a hand-built per-destination reference: every
+/// destination's items in staging order, destinations in first-touch
+/// order.
+template <typename T>
+void expect_merge_matches_reference(
+    std::size_t n, const std::vector<std::pair<NodeId, T>>& stream) {
+  std::vector<std::vector<T>> want(n);
+  std::vector<NodeId> want_touched;
+  for (const auto& [dst, item] : stream) {
+    if (want[dst].empty()) want_touched.push_back(dst);
+    want[dst].push_back(item);
+  }
   for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
-    DestBuckets<int> reference(n);
-    ShardedBuckets<int> sharded(n, lanes);
-    reference.begin_round();
+    ShardedBuckets<T> sharded(n, lanes);
     sharded.begin_round();
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      reference.add(stream[i].first, stream[i].second);
-      // Contiguous shards, exactly the WorkerPool's split.
       const std::size_t lane = i * lanes / stream.size();
       sharded.stage(lane, stream[i].first, stream[i].second);
     }
-    reference.build();
     sharded.merge();
-    EXPECT_EQ(sharded.total(), reference.total()) << "lanes=" << lanes;
-    EXPECT_EQ(sharded.touched(), reference.touched()) << "lanes=" << lanes;
+    EXPECT_EQ(sharded.total(), stream.size()) << "lanes=" << lanes;
+    EXPECT_EQ(sharded.touched(), want_touched) << "lanes=" << lanes;
     for (NodeId dst = 0; dst < n; ++dst) {
-      const auto a = reference.bucket(dst);
-      const auto b = sharded.bucket(dst);
-      ASSERT_EQ(a.size(), b.size()) << "dst=" << dst << " lanes=" << lanes;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << "dst=" << dst << " lanes=" << lanes;
-      }
+      const auto got = sharded.bucket(dst);
+      EXPECT_EQ(std::vector<T>(got.begin(), got.end()), want[dst])
+          << "dst=" << dst << " lanes=" << lanes;
     }
   }
 }
 
-TEST(ShardedBucketsTest, EpochWrapIsInvisible) {
-  ShardedBuckets<int> b(4, 2);
-  // Prime so the uint64 epoch wraps mid-sequence; buckets from the wrapped
-  // epochs must neither leak stale items nor drop fresh ones.
-  b.debug_prime_epoch_wrap(3);
-  for (int round = 0; round < 8; ++round) {
+TEST(ShardedBucketsTest, LaneMajorMergeMatchesSingleLaneReference) {
+  expect_merge_matches_reference<int>(
+      16, {{3, 100}, {7, 101}, {3, 102}, {0, 103}, {7, 104},
+           {7, 105}, {1, 106}, {3, 107}, {0, 108}, {15, 109}});
+}
+
+TEST(ShardedBucketsTest, EdgeEventFanOutMatchesReference) {
+  // The Phase 0 event fan-out: every event staged at both endpoints.
+  // EdgeEvent has no default constructor, so merge() must move items into
+  // place without default-constructing any.
+  static_assert(!std::is_default_constructible_v<EdgeEvent>);
+  const std::vector<EdgeEvent> batch = {
+      EdgeEvent::insert(0, 5), EdgeEvent::insert(5, 9),
+      EdgeEvent::remove(2, 0), EdgeEvent::insert(9, 1),
+      EdgeEvent::remove(5, 1), EdgeEvent::insert(3, 7)};
+  std::vector<std::pair<NodeId, EdgeEvent>> stream;
+  for (const EdgeEvent& ev : batch) {
+    stream.emplace_back(ev.edge.lo(), ev);
+    stream.emplace_back(ev.edge.hi(), ev);
+  }
+  expect_merge_matches_reference<EdgeEvent>(10, stream);
+}
+
+TEST(ShardedBucketsTest, StaleSlotsReadEmpty) {
+  // A destination keeps the slot index it was given in the last round it
+  // was touched.  Later rounds hand that slot number to other destinations
+  // (or leave it past the end of the touched list); either way the stale
+  // slot must read empty, and a destination touched again must see only
+  // its new items.  Each round's staging is checked against a reference.
+  ShardedBuckets<int> b(6, 2);
+  const std::vector<std::vector<std::pair<NodeId, int>>> rounds = {
+      {{1, 10}, {2, 20}, {1, 11}},  // slots: 1 -> 0, 2 -> 1
+      {{2, 30}},                    // 2 -> 0: 1's slot 0 now belongs to 2
+      {{4, 40}, {1, 41}},           // 4 -> 0, 1 -> 1: 2's slot 0 is 4's
+      {},                           // nothing touched: every slot is stale
+      {{5, 50}, {3, 51}, {5, 52}},  // 1's slot 1 now belongs to 3
+      {{1, 60}, {2, 61}, {1, 62}},  // the first round's slots, new items
+  };
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
     b.begin_round();
-    b.stage(0, 1, round);
-    b.stage(1, 2, round + 100);
+    for (NodeId dst = 0; dst < 6; ++dst) {
+      EXPECT_TRUE(b.bucket(dst).empty()) << "before merge, round " << r;
+    }
+    // Item i is staged on lane i % 2, so lane-major order puts the even
+    // items first, then the odd ones.
+    const auto& items = rounds[r];
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      b.stage(i % 2, items[i].first, items[i].second);
+    }
+    std::vector<std::vector<int>> want(6);
+    for (std::size_t lane = 0; lane < 2; ++lane) {
+      for (std::size_t i = lane; i < items.size(); i += 2) {
+        want[items[i].first].push_back(items[i].second);
+      }
+    }
     b.merge();
-    ASSERT_EQ(b.bucket(1).size(), 1u) << "round=" << round;
-    EXPECT_EQ(b.bucket(1)[0], round);
-    ASSERT_EQ(b.bucket(2).size(), 1u) << "round=" << round;
-    EXPECT_EQ(b.bucket(2)[0], round + 100);
-    EXPECT_TRUE(b.bucket(0).empty());
-    EXPECT_TRUE(b.bucket(3).empty());
+    for (NodeId dst = 0; dst < 6; ++dst) {
+      const auto got = b.bucket(dst);
+      EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want[dst])
+          << "dst=" << dst << " round " << r;
+    }
   }
 }
 
@@ -91,8 +136,42 @@ TEST(ShardedBucketsTest, CapacityDecaysAfterBurst) {
     b.merge();
   }
   EXPECT_LT(b.retained_capacity(), kBurst);
-  // 3 buffers (2 lanes + merged items), each decayed to the floor.
+  // The 2 lanes, the merged items and the merge order decay to the floor;
+  // the per-slot arrays (8 destinations) never grew past it.
   EXPECT_LE(b.retained_capacity(), 6 * ShardedBuckets<int>::kDecayFloor);
+}
+
+TEST(ShardedBucketsTest, OneLaneEventFanOutDecaysAfterBurst) {
+  // Phase 0's shape: one lane, each event staged at both endpoints.  A
+  // first round that inserts a whole edge set at once (15,000-20,000 edges
+  // on the region_3hop / serve_100k benchmarks) is a burst; the small
+  // batches after it must not keep its staging, order, item or per-slot
+  // capacity for the rest of the run.
+  using Buckets = ShardedBuckets<EdgeEvent>;
+  constexpr NodeId kNodes = 10000;
+  Buckets b(kNodes, 1);
+  b.begin_round();
+  for (NodeId v = 0; v < kNodes; ++v) {  // a ring touches every node
+    const EdgeEvent ev = EdgeEvent::insert(v, (v + 1) % kNodes);
+    b.stage(0, ev.edge.lo(), ev);
+    b.stage(0, ev.edge.hi(), ev);
+  }
+  b.merge();
+  ASSERT_EQ(b.touched().size(), kNodes);
+  EXPECT_GE(b.retained_capacity(), 2 * kNodes);
+  for (std::size_t r = 0; r < 2 * Buckets::kDecayWindow + 4; ++r) {
+    b.begin_round();
+    for (NodeId k = 0; k < 20; ++k) {
+      const NodeId v = static_cast<NodeId>((r * 37 + k * 101) % kNodes);
+      const EdgeEvent ev = EdgeEvent::insert(v, (v + 1) % kNodes);
+      b.stage(0, ev.edge.lo(), ev);
+      b.stage(0, ev.edge.hi(), ev);
+    }
+    b.merge();
+  }
+  // 7 buffers -- the lane, the merged items, the merge order, the touched
+  // list and the count / offset / cursor slot arrays -- each at the floor.
+  EXPECT_LE(b.retained_capacity(), 7 * Buckets::kDecayFloor);
 }
 
 // -------------------------------------------------------------- Router ----
@@ -274,19 +353,42 @@ TEST(RouterTest, ControlBitsBroadcastToAllNeighbors) {
   EXPECT_TRUE(r.inbox(2).busy_neighbors.empty());
 }
 
-TEST(RouterTest, EpochWrapIsInvisible) {
+TEST(RouterTest, StaleSlotsReadEmpty) {
+  // Alternating rounds hand each destination's bucket slot to another
+  // destination: a destination's slot from an earlier round must never
+  // surface old payloads or control bits.
   const auto g = complete_graph(3);
   Router r(3, 2);
-  r.debug_prime_epoch_wrap(3);
   for (int round = 1; round <= 8; ++round) {
     r.begin_round(round);
     Outbox out;
-    out.send(1, WireMessage::edge_insert(Edge(0, 1)));
-    r.stage_outbox(0, 0, out, g);
+    if (round % 2 == 1) {
+      // Payload slots: 1 -> 0, 2 -> 1.  No control bits.
+      out.send(1, WireMessage::edge_insert(Edge(0, 1)));
+      out.send(2, WireMessage::edge_insert(Edge(0, 2)));
+      r.stage_outbox(0, 0, out, g);
+    } else {
+      // Payload slot 0 now belongs to 2; busy bits reach 0 and 2.
+      out.send(2, WireMessage::edge_insert(Edge(1, 2)));
+      out.declare_busy();
+      r.stage_outbox(1, 1, out, g);
+    }
     const LaneTraffic traffic = r.merge();
-    EXPECT_EQ(traffic.messages, 1u) << "round=" << round;
-    ASSERT_EQ(r.inbox(1).payloads.size(), 1u) << "round=" << round;
-    EXPECT_TRUE(r.inbox(2).payloads.empty()) << "round=" << round;
+    const bool odd = round % 2 == 1;
+    EXPECT_EQ(traffic.messages, odd ? 2u : 1u) << "round=" << round;
+    const auto senders = inbox_senders(r, 3);
+    EXPECT_TRUE(senders[0].empty()) << "round=" << round;
+    EXPECT_EQ(senders[1], odd ? std::vector<NodeId>{0}
+                              : std::vector<NodeId>{})
+        << "round=" << round;
+    EXPECT_EQ(senders[2], std::vector<NodeId>{odd ? 0u : 1u})
+        << "round=" << round;
+    for (NodeId v = 0; v < 3; ++v) {
+      const bool busy = !odd && v != 1;
+      EXPECT_EQ(r.inbox(v).busy_neighbors.size(), busy ? 1u : 0u)
+          << "v=" << v << " round=" << round;
+      EXPECT_TRUE(r.inbox(v).busy_two_hop.empty());
+    }
   }
 }
 
@@ -528,6 +630,28 @@ void stage_two_shard_round(ShardFabric& fabric,
   send_from(3, 7, {3});      // cross only
 }
 
+/// Payload senders per destination after stage_two_shard_round (every
+/// sender there also declares busy to all its neighbors).
+const std::vector<std::vector<NodeId>> kTwoShardSenders = {
+    {4}, {0}, {}, {7}, {}, {0}, {2, 4}, {2}};
+
+/// A quieter round over the same fabric: no control bits, and payloads
+/// that take bucket slots stage_two_shard_round gave other destinations
+/// (shard 0's slot 0 passes from 1 to 2, shard 1's from 5 to 7).
+void stage_shifted_shard_round(ShardFabric& fabric,
+                               const oracle::TimestampedGraph& g) {
+  Outbox out;
+  out.send(2, WireMessage::edge_insert(Edge(1, 2)));
+  fabric.stage_outbox(0, 1, out, g);
+  out.reset();
+  out.send(7, WireMessage::edge_insert(Edge(5, 7)));
+  out.send(3, WireMessage::edge_insert(Edge(5, 3)));
+  fabric.stage_outbox(2, 5, out, g);
+}
+
+const std::vector<std::vector<NodeId>> kShiftedSenders = {
+    {}, {}, {1}, {5}, {}, {}, {}, {5}};
+
 /// Encodes every non-empty ingress frame of `fabric` into one byte
 /// stream, interleaving destination shards per slot -- the shape a
 /// multi-process barrier exchange would put on one connection -- and
@@ -608,24 +732,28 @@ TEST(MultiShardFrameStreamTest, EveryPrefixOfAFrameSequenceRejectsMidFrame) {
   EXPECT_EQ(walk_frame_stream(longer), std::nullopt);
 }
 
-TEST(MultiShardFrameStreamTest, InterleavedSeqContinuityAcrossEpochWrap) {
-  // Per-shard wire sequence continuity, fuzzed across the bucket-epoch
-  // wrap reset: both routers stay in seq lockstep round after round, every
-  // interleaved ingress frame of a round carries that round's seq and its
-  // lane's current epoch, and any frame kept from an earlier round stays
-  // structurally valid but identifies itself as stale -- including in the
-  // rounds where debug-primed epoch counters wrap.
+TEST(MultiShardFrameStreamTest, InterleavedSeqContinuityAcrossStaleSlots) {
+  // Per-shard wire sequence continuity while alternate rounds hand bucket
+  // slots to other destinations: both routers stay in seq lockstep round
+  // after round, every interleaved ingress frame of a round carries that
+  // round's seq and its lane's current epoch, any frame kept from an
+  // earlier round stays structurally valid but identifies itself as
+  // stale, and every merged inbox holds exactly its own round's traffic.
   const std::size_t n = 8;
   const auto g = complete_graph(n);
   ShardFabric fabric(n, /*lanes_per_shard=*/2, /*shards=*/2);
-  fabric.debug_prime_epoch_wrap(/*steps=*/3);  // wraps a few rounds in
 
   std::uint64_t prev_seq = 0;
   std::vector<std::uint8_t> stale;  // one cross-shard frame, one round old
   std::size_t stale_slot = 0;
   for (Round round = 1; round <= 8; ++round) {
+    const bool shifted = round % 2 == 0;
     fabric.begin_round(round);
-    stage_two_shard_round(fabric, g);
+    if (shifted) {
+      stage_shifted_shard_round(fabric, g);
+    } else {
+      stage_two_shard_round(fabric, g);
+    }
 
     const std::uint64_t seq = fabric.wire_seq();
     if (round > 1) {
@@ -651,9 +779,12 @@ TEST(MultiShardFrameStreamTest, InterleavedSeqContinuityAcrossEpochWrap) {
         EXPECT_EQ(batch.header.lane, slot);
         EXPECT_EQ(batch.header.round, static_cast<std::int64_t>(round));
         EXPECT_EQ(batch.header.epoch, fabric.wire_epoch(d, slot));
-        if (fabric.shard_of_slot(slot) != d && stale.empty()) {
-          stale = wire;
-          stale_slot = slot;
+        if (fabric.shard_of_slot(slot) != d) {
+          if (stale.empty()) {
+            stale = wire;
+            stale_slot = slot;
+          }
+          fabric.deliver(d, slot, std::move(batch));  // cross-shard hop
         }
       }
     }
@@ -668,6 +799,18 @@ TEST(MultiShardFrameStreamTest, InterleavedSeqContinuityAcrossEpochWrap) {
       (void)stale_slot;
     }
     fabric.merge();
+    const auto& want = shifted ? kShiftedSenders : kTwoShardSenders;
+    for (NodeId v = 0; v < n; ++v) {
+      const Inbox in = fabric.inbox(v);
+      std::vector<NodeId> senders;
+      for (const auto& item : in.payloads) senders.push_back(item.from);
+      EXPECT_EQ(senders, want[v]) << "v=" << v << " round " << round;
+      // In the base round senders 0, 2, 4 and 7 declare busy to everyone.
+      const bool busy_sender = v == 0 || v == 2 || v == 4 || v == 7;
+      const std::size_t busy = shifted ? 0 : (busy_sender ? 3 : 4);
+      EXPECT_EQ(in.busy_neighbors.size(), busy)
+          << "v=" << v << " round " << round;
+    }
     prev_seq = seq;
   }
 }
@@ -721,6 +864,39 @@ TEST(SimulatorMemoryTest, OutboxScratchIsLaneBoundedNotNodeBounded) {
   Simulator par(512, burst_factory(), {.threads = 3});
   par.step({});
   EXPECT_EQ(par.outbox_pool_slots(), 3u);
+}
+
+/// A node program that never acts: constructing it is all it costs.
+class IdleNode final : public NodeProgram {
+ public:
+  void react_and_send(const NodeContext&, std::span<const EdgeEvent>,
+                      Outbox&) override {}
+  void receive_and_update(const NodeContext&, const Inbox&) override {}
+  [[nodiscard]] bool consistent() const override { return true; }
+};
+
+TEST(SimulatorMemoryTest, EngineBytesPerNodeStayUnderBound) {
+  // Heap bytes the engine requests per node at construction, node
+  // programs excluded, in churn_1m's configuration (no G_{i-1}).  Measured
+  // 68.3 B: the unique_ptr in nodes_ (8), the G_i adjacency header (24),
+  // the two Metrics counters (16), four 4-byte bucket slot indices (16),
+  // the active-set stamp (4) and two flag bits.  A new O(n) array of even
+  // 4 bytes per node fails the bound.
+  constexpr std::size_t kNodes = std::size_t{1} << 16;
+  constexpr double kMaxEngineBytesPerNode = 71.0;
+  const NodeFactory factory = [](NodeId, std::size_t) {
+    return std::make_unique<IdleNode>();
+  };
+  std::size_t bytes = 0;
+  {
+    testing::AllocationCounter counter;
+    const Simulator sim(kNodes, factory, {.track_prev_graph = false});
+    bytes = counter.bytes();
+  }
+  const double per_node =
+      static_cast<double>(bytes - kNodes * sizeof(IdleNode)) / kNodes;
+  EXPECT_LE(per_node, kMaxEngineBytesPerNode)
+      << "engine heap bytes per node at construction";
 }
 
 TEST(SimulatorMemoryTest, RouterCapacityDecaysToSteadyState) {

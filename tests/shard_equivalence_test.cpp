@@ -238,10 +238,10 @@ TEST(ShardEquivalence, RecoverableChaosByteIdenticalAcrossShards) {
 }
 
 TEST(ShardEquivalence, EpochWrapIsInvisibleAcrossShards) {
-  // Prime every router's wire-epoch and bucket-epoch counters to the
-  // brink of wrap mid-run: the shard engine keeps all S routers in
-  // lockstep through the wrap resets, and frame validation (seq/epoch in
-  // every header) keeps accepting fresh frames.
+  // Prime the active-set epoch to the brink of wrap mid-run: the shard
+  // engine keeps all S routers in lockstep through the wrap reset, and
+  // frame validation (seq/epoch in every header) keeps accepting fresh
+  // frames.
   const auto factory = testing::factory_of<core::TriangleNode>();
   const auto state_of = known_edges_of<core::TriangleNode>();
   for (std::size_t prime_round = 4; prime_round <= 12; prime_round += 4) {

@@ -459,15 +459,14 @@ TEST(ParallelEquivalence, RecordedTraceBytesIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST(SimulatorEquivalence, EpochWrapIsInvisible) {
-  // Prime every epoch counter to the brink of std::uint64_t wrap *mid-run*:
-  // the stamps then hold small epoch values from the first life of the
-  // counters, and the post-wrap epochs count straight back into them.
-  // Without the wrap resets that aliasing drops event-touched nodes from
-  // the active set, flags phantom duplicate payloads, and serves stale
-  // router buckets.  (Priming at construction would not catch this: the
-  // round-1 dense bootstrap stamps every mark with a near-max epoch that
-  // small post-wrap epochs never reach.)  A wrapped engine must stay in
-  // lockstep with a fresh one.
+  // Prime the active-set epoch to the brink of std::uint32_t wrap
+  // *mid-run*: the stamps then hold small epoch values from the first life
+  // of the counter, and the post-wrap epochs count straight back into
+  // them.  Without the wrap reset that aliasing drops event-touched nodes
+  // from the active set.  (Priming at construction would not catch this:
+  // the round-1 dense bootstrap stamps every mark with a near-max epoch
+  // that small post-wrap epochs never reach.)  A wrapped engine must stay
+  // in lockstep with a fresh one.
   // The alias needs a node whose pre-wrap stamp is revisited by a
   // post-wrap epoch at the exact round it is touched again, and the
   // stamp-to-revisit gap is fixed by the priming point -- so sweep the
@@ -513,10 +512,10 @@ TEST(SimulatorEquivalence, EpochWrapIsInvisible) {
 }
 
 TEST(ParallelEquivalence, EpochWrapIsInvisibleAtEveryLaneCount) {
-  // The sharded router's epoch wrap is a begin_round (barrier-side) event,
-  // but the stale stamps it guards against are read concurrently by the
-  // merge -- so cross it under the parallel engine at several lane counts
-  // and hold each against an unwrapped sequential reference.
+  // The active-set epoch wraps at the barrier, but the sets it builds are
+  // sharded across lanes -- so cross it under the parallel engine at
+  // several lane counts and hold each against an unwrapped sequential
+  // reference.
   const auto factory = testing::factory_of<core::TriangleNode>();
   const auto state_of = known_edges_of<core::TriangleNode>();
   for (const std::size_t threads : {2, 4, 8}) {
