@@ -230,8 +230,8 @@ int main(int argc, char** argv) {
     // Lane count: --threads overrides the default, which is 4 clamped to
     // the machine's core count (oversubscribing a 1-core runner would
     // measure context-switch thrash, not the engine; at 1 lane the
-    // parallel engine runs the identical code path inline).  Clamped to
-    // >= 1 so --threads 0 still measures a real parallel engine.  The
+    // engine is the sequential one).  Clamped to >= 1 so `.par.threads`
+    // reports a lane count: --threads 0 and 1 are one engine.  The
     // metric keys are lane-count independent (`.seq.` / `.par.` +
     // `.par.threads`), so the perf gate's required keys exist for every
     // override -- a knob that makes the bench emit a document the

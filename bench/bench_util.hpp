@@ -29,6 +29,7 @@
 
 #include "common/format.hpp"
 #include "detect/registry.hpp"
+#include "harness/engine_flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
 #include "net/simulator.hpp"
@@ -115,39 +116,27 @@ struct BenchOptions {
 /// Parses the shared bench CLI; exits on --help or an unknown flag.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
-  auto parse_seed = [&](std::string_view text) {
-    const auto v = parse_u64(text);
-    if (!v) {
-      std::fprintf(stderr, "%s: --seed wants an unsigned integer, got '%s'\n",
-                   argv[0], std::string(text).c_str());
+  // Engine-flag values share their checks with the tools
+  // (harness/engine_flags.hpp); a bad value exits 2.
+  std::string error;
+  auto take = [&](auto parsed, auto& field, bool& has) {
+    if (!parsed) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
       std::exit(2);
     }
-    opts.seed = *v;
-    opts.has_seed = true;
+    field = *parsed;
+    has = true;
+  };
+  auto parse_seed = [&](std::string_view text) {
+    take(harness::parse_seed_flag(text, &error), opts.seed, opts.has_seed);
   };
   auto parse_threads = [&](std::string_view text) {
-    const auto v = parse_u64(text);
-    if (!v || *v > 256) {
-      std::fprintf(stderr,
-                   "%s: --threads wants an unsigned integer <= 256, got "
-                   "'%s'\n",
-                   argv[0], std::string(text).c_str());
-      std::exit(2);
-    }
-    opts.threads = static_cast<std::size_t>(*v);
-    opts.has_threads = true;
+    take(harness::parse_threads_flag(text, &error), opts.threads,
+         opts.has_threads);
   };
   auto parse_shards = [&](std::string_view text) {
-    const auto v = parse_u64(text);
-    if (!v || *v == 0 || *v > 64) {
-      std::fprintf(stderr,
-                   "%s: --shards wants an unsigned integer in 1..64, got "
-                   "'%s'\n",
-                   argv[0], std::string(text).c_str());
-      std::exit(2);
-    }
-    opts.shards = static_cast<std::size_t>(*v);
-    opts.has_shards = true;
+    take(harness::parse_shards_flag(text, &error), opts.shards,
+         opts.has_shards);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];

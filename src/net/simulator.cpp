@@ -53,25 +53,17 @@ Simulator::Simulator(std::size_t n, NodeFactory factory,
     config_.telemetry->on_lanes(fabric_.slots());
     config_.telemetry->on_shards(shards_, lanes_);
   }
-  if (config_.threads > 0) {
-    pool_ = std::make_unique<WorkerPool>(config_.threads,
-                                         config_.threads_inline_cutoff);
+  if (lanes_ > 1) {
+    pool_ = std::make_unique<WorkerPool>(lanes_);
     if (telemetry_timing_) pool_->set_telemetry(config_.telemetry);
-    react_task_ = [this](std::size_t lane, std::size_t b, std::size_t e) {
-      react_shard(lane, b, e);
-    };
-    receive_task_ = [this](std::size_t lane, std::size_t b, std::size_t e) {
-      receive_shard(lane, b, e);
-    };
-    if (shards_ > 1) {
-      react_slots_task_ = [this](std::size_t lane, std::size_t b,
-                                 std::size_t e) { react_slots(lane, b, e); };
-      receive_slots_task_ = [this](std::size_t lane, std::size_t b,
-                                   std::size_t e) {
-        receive_slots(lane, b, e);
-      };
-    }
   }
+  react_slots_task_ = [this](std::size_t lane, std::size_t b,
+                             std::size_t e) {
+    for (std::size_t p = b; p < e; ++p) react_slot(p, lane_outbox_[lane]);
+  };
+  receive_slots_task_ = [this](std::size_t, std::size_t b, std::size_t e) {
+    for (std::size_t p = b; p < e; ++p) receive_slot(p);
+  };
 }
 
 const oracle::TimestampedGraph& Simulator::prev_graph() const {
@@ -98,67 +90,17 @@ void Simulator::bump_active_epoch() {
   }
 }
 
-void Simulator::set_sparse_rounds(bool enabled) {
-  if (enabled && !config_.sparse_rounds) bootstrap_ = true;
-  config_.sparse_rounds = enabled;
-}
-
 void Simulator::debug_prime_epoch_wrap(std::uint32_t steps) {
   active_epoch_ = ~std::uint32_t{0} - steps;
 }
 
-void Simulator::react_shard(std::size_t lane, std::size_t begin,
-                            std::size_t end) {
-  Clock::time_point s0;
-  if (telemetry_timing_) s0 = Clock::now();
-  const std::size_t n = nodes_.size();
-  Outbox& out = lane_outbox_[lane];
-  for (std::size_t i = begin; i < end; ++i) {
-    const NodeId v = active_[i];
-    out.reset();
-    NodeContext ctx{v, n, round_};
-    nodes_[v]->react_and_send(ctx, events_by_node_.bucket(v), out);
-    // Validate and stage straight into the lane's router batch while the
-    // node's traffic is hot -- one scratch outbox per lane replaces the
-    // old per-active-node pool, and Phase 2's sequential scatter becomes
-    // the Router's deterministic lane-major merge at the barrier.
-    fabric_.stage_outbox(lane, v, out, g_);
+std::size_t Simulator::retained_capacity() const {
+  std::size_t cap = active_.capacity() + receive_extra_.capacity() +
+                    stepped_.capacity() + carry_.capacity();
+  for (const LaneBook& book : lane_books_) {
+    cap += book.flips.capacity() + book.carry.capacity();
   }
-  if (telemetry_timing_) {
-    emit_span(telemetry::Phase::kReact, lane, s0, Clock::now());
-  }
-}
-
-void Simulator::receive_shard_node(NodeId v) {
-  NodeContext ctx{v, nodes_.size(), round_};
-  nodes_[v]->receive_and_update(ctx, fabric_.inbox(v));
-}
-
-void Simulator::receive_shard(std::size_t lane, std::size_t begin,
-                              std::size_t end) {
-  Clock::time_point s0;
-  if (telemetry_timing_) s0 = Clock::now();
-  LaneBook& book = lane_books_[lane];
-  for (std::size_t i = begin; i < end; ++i) {
-    const NodeId v = stepped_[i];
-    receive_shard_node(v);
-    // Lane-local bookkeeping: consistency transitions and the carry set
-    // are recorded in this lane's book (reduced at the barrier in lane
-    // order); the per-node inconsistency meter is written directly --
-    // stepped nodes are partitioned across lanes, so concurrent calls
-    // always target distinct counters (metrics.hpp contract).
-    // A degraded node's program cannot know it missed traffic; the engine
-    // overrides its self-report until recovery completes.
-    const bool ok = nodes_[v]->consistent() && !degraded_[v];
-    if (ok != consistent_[v]) book.flips.emplace_back(v, ok);
-    if (!ok) metrics_.record_node_inconsistent(v);
-    if (config_.sparse_rounds && nodes_[v]->wants_to_act()) {
-      book.carry.push_back(v);
-    }
-  }
-  if (telemetry_timing_) {
-    emit_span(telemetry::Phase::kReceive, lane, s0, Clock::now());
-  }
+  return cap;
 }
 
 void Simulator::compute_shard_bounds(const std::vector<NodeId>& ids,
@@ -175,27 +117,40 @@ void Simulator::compute_shard_bounds(const std::vector<NodeId>& ids,
   bounds[shards_] = ids.size();
 }
 
-void Simulator::react_slot(std::size_t slot, std::size_t pool_lane) {
-  // Slot s*L + l reacts chunk l of shard s's slice of active_.  Slots in
-  // ascending order cover active_ in ascending sender order, so the
-  // lane-major merge at every destination router stays sender-sorted --
-  // the byte-identity anchor of the shard engine.
+std::pair<std::size_t, std::size_t> Simulator::slot_range(
+    const std::vector<std::size_t>& bounds, std::size_t slot) const {
   const std::size_t s = slot / lanes_;
   const std::size_t l = slot % lanes_;
-  const std::size_t sb = active_bounds_[s];
-  const std::size_t sc = active_bounds_[s + 1] - sb;
-  const std::size_t begin = sb + sc * l / lanes_;
-  const std::size_t end = sb + sc * (l + 1) / lanes_;
+  const std::size_t sb = bounds[s];
+  const std::size_t sc = bounds[s + 1] - sb;
+  return {sb + sc * l / lanes_, sb + sc * (l + 1) / lanes_};
+}
+
+void Simulator::run_grid(std::size_t set_size,
+                         const WorkerPool::TaskFn& task) {
+  if (pool_ != nullptr && set_size > config_.threads_inline_cutoff) {
+    pool_->run_tasks(fabric_.slots(), task);
+  } else {
+    task(0, 0, fabric_.slots());
+  }
+}
+
+void Simulator::react_slot(std::size_t slot, Outbox& out) {
+  // Slots in ascending order cover active_ in ascending sender order, so
+  // the lane-major merge at every destination router stays sender-sorted
+  // -- the byte-identity anchor of the grid.
+  const auto [begin, end] = slot_range(active_bounds_, slot);
   if (begin >= end) return;
   Clock::time_point s0;
   if (telemetry_timing_) s0 = Clock::now();
   const std::size_t n = nodes_.size();
-  Outbox& out = lane_outbox_[pool_lane];
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId v = active_[i];
     out.reset();
     NodeContext ctx{v, n, round_};
     nodes_[v]->react_and_send(ctx, events_by_node_.bucket(v), out);
+    // Validate and stage straight into the slot's router batch while the
+    // node's traffic is hot; Phase 2 merges the slots at the barrier.
     fabric_.stage_outbox(slot, v, out, g_);
   }
   if (telemetry_timing_) {
@@ -203,29 +158,25 @@ void Simulator::react_slot(std::size_t slot, std::size_t pool_lane) {
   }
 }
 
-void Simulator::react_slots(std::size_t pool_lane, std::size_t begin,
-                            std::size_t end) {
-  for (std::size_t p = begin; p < end; ++p) react_slot(p, pool_lane);
-}
-
-void Simulator::receive_slot(std::size_t slot, std::size_t pool_lane) {
-  (void)pool_lane;  // books are per slot; no pool-lane-local state here
-  const std::size_t s = slot / lanes_;
-  const std::size_t l = slot % lanes_;
-  const std::size_t sb = stepped_bounds_[s];
-  const std::size_t sc = stepped_bounds_[s + 1] - sb;
-  const std::size_t begin = sb + sc * l / lanes_;
-  const std::size_t end = sb + sc * (l + 1) / lanes_;
+void Simulator::receive_slot(std::size_t slot) {
+  const auto [begin, end] = slot_range(stepped_bounds_, slot);
   if (begin >= end) return;
   Clock::time_point s0;
   if (telemetry_timing_) s0 = Clock::now();
-  // Per-slot book: ascending slot order covers stepped_ in ascending id
-  // order, so the barrier's slot-order reduction replays the sequential
-  // engine's bookkeeping walk exactly (see receive_shard).
+  // Slot-local bookkeeping: consistency transitions and the carry set are
+  // recorded in this slot's book (reduced at the barrier in slot order,
+  // which replays the ascending-id bookkeeping walk exactly); the per-node
+  // inconsistency meter is written directly -- stepped nodes are
+  // partitioned across slots, so concurrent calls always target distinct
+  // counters (metrics.hpp contract).
   LaneBook& book = lane_books_[slot];
+  const std::size_t n = nodes_.size();
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId v = stepped_[i];
-    receive_shard_node(v);
+    NodeContext ctx{v, n, round_};
+    nodes_[v]->receive_and_update(ctx, fabric_.inbox(v));
+    // A degraded node's program cannot know it missed traffic; the engine
+    // overrides its self-report until recovery completes.
     const bool ok = nodes_[v]->consistent() && !degraded_[v];
     if (ok != consistent_[v]) book.flips.emplace_back(v, ok);
     if (!ok) metrics_.record_node_inconsistent(v);
@@ -236,11 +187,6 @@ void Simulator::receive_slot(std::size_t slot, std::size_t pool_lane) {
   if (telemetry_timing_) {
     emit_span(telemetry::Phase::kReceive, slot, s0, Clock::now());
   }
-}
-
-void Simulator::receive_slots(std::size_t pool_lane, std::size_t begin,
-                              std::size_t end) {
-  for (std::size_t p = begin; p < end; ++p) receive_slot(p, pool_lane);
 }
 
 void Simulator::emit_span(telemetry::Phase phase, std::size_t lane,
@@ -421,10 +367,13 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   // Round 1 bootstraps densely: every program runs once and declares its
   // intent through wants_to_act(); from then on the carryover + events +
   // traffic exactly cover every node that can act (node.hpp contract).
-  // set_sparse_rounds(true) after dense rounds re-runs the bootstrap
-  // (bootstrap_), because dense rounds do not maintain the carry set.
-  const bool dense = !config_.sparse_rounds || round_ == 1 || bootstrap_;
-  bootstrap_ = false;
+  const bool dense = !config_.sparse_rounds || round_ == 1;
+  if (!dense && round_ == 2) {
+    // The first sparse round: the bootstrap grew both node sets to n, and
+    // nothing after it needs more than O(active) of either.
+    std::vector<NodeId>().swap(active_);
+    std::vector<NodeId>().swap(stepped_);
+  }
   if (dense) {
     for (NodeId v = 0; v < n; ++v) {
       active_mark_[v] = active_epoch_;
@@ -454,35 +403,19 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   }
 
   // --- Phase 1: react & send (first half of the communication round),
-  // fused with routing validation + staging.  Parallel-safe: node i
-  // touches only its own program, its (read-only) event bucket, its
-  // lane's scratch outbox, and its lane's router batch.  Shards are
-  // contiguous ascending ranges of active_, so lane-major staging order
-  // is ascending sender order -- exactly the sequential engine's. ---
+  // fused with routing validation + staging, over the slot grid: every
+  // slot s*L + l reacts its own contiguous chunk of shard s's slice of
+  // active_, so slot-major staging order is ascending sender order.
+  // Cross-shard traffic lands in per-slot egress batches that cross the
+  // Transport seam as encoded frames in Phase 2. ---
   fabric_.begin_round(round_);
-  if (shards_ > 1) {
-    // Shard engine: every staging slot s*L + l reacts its own contiguous
-    // chunk of its shard's slice of active_; cross-shard traffic lands in
-    // per-slot egress batches that cross the Transport seam as encoded
-    // frames in Phase 2.  run_tasks skips the inline cutoff -- W slots is
-    // a task count, not a node count.
-    compute_shard_bounds(active_, active_bounds_);
-    if (pool_ != nullptr && active_.size() > config_.threads_inline_cutoff) {
-      pool_->run_tasks(fabric_.slots(), react_slots_task_);
-    } else {
-      react_slots(0, 0, fabric_.slots());
-    }
-  } else if (pool_ != nullptr) {
-    pool_->run_sharded(active_.size(), react_task_);
-  } else {
-    react_shard(0, 0, active_.size());
-  }
+  compute_shard_bounds(active_, active_bounds_);
+  run_grid(active_.size(), react_slots_task_);
   Clock::time_point t2;
   if (timed) {
     t2 = Clock::now();
     if (config_.collect_phase_timings) timings_.react_ns += elapsed_ns(t1, t2);
-    // No step-level kReact span: react time is reported per lane by
-    // react_shard (the inline path emits a lane-0 span the same way).
+    // No step-level kReact span: react_slot reports react time per slot.
   }
 
   // --- Phase 2: the staged lane batches cross the transport seam (a
@@ -538,11 +471,10 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   }
 
   // --- Phase 3: receive & update (second half of the round), over the
-  // ascending merge of active_ and receive_extra_.  Each lane records its
-  // shard's consistency flips and carry nodes in its own book; the
-  // barrier reduces the books in lane order, which over contiguous
-  // ascending shards is ascending id order -- identical to the old
-  // sequential bookkeeping walk. ---
+  // ascending merge of active_ and receive_extra_, on the same slot grid.
+  // Each slot records its chunk's consistency flips and carry nodes in its
+  // own book; the barrier reduces the books in slot order, which is
+  // ascending id order. ---
   carry_.clear();
   stepped_.clear();
   {
@@ -560,18 +492,8 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
     book.flips.clear();
     book.carry.clear();
   }
-  if (shards_ > 1) {
-    compute_shard_bounds(stepped_, stepped_bounds_);
-    if (pool_ != nullptr && stepped_.size() > config_.threads_inline_cutoff) {
-      pool_->run_tasks(fabric_.slots(), receive_slots_task_);
-    } else {
-      receive_slots(0, 0, fabric_.slots());
-    }
-  } else if (pool_ != nullptr) {
-    pool_->run_sharded(stepped_.size(), receive_task_);
-  } else {
-    receive_shard(0, 0, stepped_.size());
-  }
+  compute_shard_bounds(stepped_, stepped_bounds_);
+  run_grid(stepped_.size(), receive_slots_task_);
   std::uint64_t flips_down = 0;
   std::uint64_t flips_up = 0;
   for (const auto& book : lane_books_) {

@@ -21,7 +21,8 @@
 // engine's Theta(n) -- a quiescent round (no events, all queues drained) is
 // O(1).  Round 1 steps every node once (bootstrap), giving programs with
 // spontaneous initial work one chance to declare themselves; afterwards the
-// wants_to_act() contract (see node.hpp) carries the set forward.  Setting
+// wants_to_act() contract (see node.hpp) carries the set forward, and the
+// bootstrap's n-sized sets are handed back when round 2 starts.  Setting
 // SimulatorConfig::sparse_rounds = false restores the seed engine's dense
 // semantics (every node stepped every round); the golden-trace equivalence
 // suite drives both engines in lockstep and asserts identical results.
@@ -35,20 +36,25 @@
 // merge at the round barrier, and WireMessage payloads are inline
 // (SmallBlob) -- steady-state rounds perform no heap allocation.
 //
-// Parallel rounds (SimulatorConfig::threads > 0): Phase 1 and Phase 3 are
-// sharded across a persistent WorkerPool (net/worker_pool.hpp) of
-// execution lanes.  A node's react/receive touches only its own program
-// state, its (read-only) event/inbox buckets, its lane's scratch outbox,
-// and its lane's router batch and accounting books, so shards never share
-// mutable state.  Determinism comes from structure rather than
-// sequencing: lanes hold contiguous ascending shards of the active set,
-// so the Router's lane-major merge (senders ascend within a lane, lanes
-// ascend by shard) reproduces exactly the ascending-sender staging order
-// of the sequential engine, and the per-lane consistency/metrics/carry
-// books are reduced at the round barrier in lane order, which is likewise
-// ascending id order.  Every result, metric, audit, and recorded trace is
-// therefore bit-identical to the sequential engine for any thread count
-// -- locked by the ParallelEquivalence suite at threads in {1, 2, 4, 8}.
+// The slot grid: Phase 1 and Phase 3 always run as S x L staging slots
+// (S = shards, L = lanes).  Slot p = s * L + l covers chunk l of shard s's
+// slice of the ascending node set, so slots in ascending order cover the
+// set in ascending id order.  A node's react/receive touches only its own
+// program state, its (read-only) event/inbox buckets, its lane's scratch
+// outbox, and its slot's router batch and accounting book, so slots never
+// share mutable state.  The sequential engine (threads 0 or 1) is the
+// grid's S x 1 case walked on the calling thread; with threads >= 2 a
+// persistent WorkerPool (net/worker_pool.hpp) splits the grid's slots
+// across its lanes whenever the set exceeds threads_inline_cutoff, and
+// otherwise lane 0 walks the same slots inline.  Determinism comes from
+// structure rather than sequencing: the Router's lane-major merge (senders
+// ascend within a slot, slots ascend by id range) reproduces exactly the
+// ascending-sender staging order of one slot, and the per-slot
+// consistency/metrics/carry books are reduced at the round barrier in slot
+// order, which is likewise ascending id order.  Every result, metric,
+// audit, and recorded trace is therefore bit-identical to the sequential
+// engine for any thread count -- locked by the ParallelEquivalence suite
+// at threads in {1, 2, 4, 8}.
 //
 // Transport seam (SimulatorConfig::faults): between Phase 1 staging and
 // the Phase 2 merge, the staged lane batches cross a Transport
@@ -115,16 +121,19 @@ struct SimulatorConfig {
   /// when both are off the hot path performs NO clock reads at all (a
   /// telemetry-off round is byte-for-byte the pre-telemetry engine).
   bool collect_phase_timings = false;
-  /// Execution lanes for the parallel round engine.  0 = the sequential
-  /// engine (today's behavior, the reference).  T >= 1 shards Phase 1 and
-  /// Phase 3 across T lanes (the calling thread plus T - 1 persistent
-  /// pool threads); results are bit-identical to sequential for every T.
+  /// Execution lanes L for the round engine.  0 or 1 = the sequential
+  /// engine (one lane on the calling thread, no thread started; the
+  /// reference).  T >= 2 splits the slot grid of Phase 1 and Phase 3
+  /// across T lanes (the calling thread plus T - 1 persistent pool
+  /// threads); results are bit-identical to sequential for every T.
   std::size_t threads = 0;
-  /// Batches at or below this size skip the fork-join and run inline on
-  /// the calling thread (microseconds of dispatch vs nanoseconds of node
-  /// work; identical results either way).  The equivalence/tsan suites
-  /// set 0 to race every dispatch.
-  std::size_t threads_inline_cutoff = WorkerPool::kInlineCutoff;
+  /// Node sets at or below this size skip the fork-join and run the slot
+  /// grid inline on the calling thread: a condvar fork-join costs
+  /// microseconds, a few dozen node steps cost nanoseconds each.  Results
+  /// are identical either way (the grid fixes the slots; the pool only
+  /// picks which thread runs each), so the equivalence/tsan suites set 0
+  /// to race every dispatch.
+  std::size_t threads_inline_cutoff = 32;
   /// Shard count S for the partitioned engine (net/shard_fabric.hpp).
   /// 0 or 1 = the single-router engine (the reference).  S >= 2 splits the
   /// node-id space into S contiguous partitions, each with its own Router
@@ -172,8 +181,8 @@ class Simulator {
  public:
   Simulator(std::size_t n, NodeFactory factory, SimulatorConfig config = {});
 
-  // Not movable: the parallel engine's persistent shard tasks capture
-  // `this` (heap-allocate a Simulator to hand it around, as Session does).
+  // Not movable: the persistent slot tasks capture `this` (heap-allocate a
+  // Simulator to hand it around, as Session does).
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   Simulator(Simulator&&) = delete;
@@ -195,14 +204,6 @@ class Simulator {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] Round round() const { return round_; }
   [[nodiscard]] const SimulatorConfig& config() const { return config_; }
-
-  /// Switches between sparse and dense round semantics mid-run.  Dense
-  /// rounds do not maintain the wants_to_act() carry set, so enabling
-  /// sparse after dense rounds forces one dense bootstrap round (exactly
-  /// like round 1) in which every program re-declares itself -- without
-  /// it the sparse engine would resume from a stale, empty carry set and
-  /// skip nodes that still want to act.
-  void set_sparse_rounds(bool enabled);
 
   /// Test hook: primes the active-set dedup epoch to within `steps`
   /// increments of the std::uint32_t wrap, so a short run crosses it.
@@ -269,10 +270,16 @@ class Simulator {
     return lane_outbox_.size();
   }
 
+  /// Total entry capacity retained by the engine's per-round node-id sets
+  /// (active set, pure receivers, their merge, the carry set and the
+  /// per-slot books): O(active) once round 1's dense bootstrap is past
+  /// (regression-tested).
+  [[nodiscard]] std::size_t retained_capacity() const;
+
  private:
-  /// Per-lane Phase 3 accounting book: everything order-sensitive a lane
-  /// observes while receiving its shard, reduced at the round barrier in
-  /// lane order (= ascending id order, since shards are contiguous and
+  /// Per-slot Phase 3 accounting book: everything order-sensitive a slot
+  /// observes while receiving its chunk, reduced at the round barrier in
+  /// slot order (= ascending id order, since chunks are contiguous and
   /// ascending).
   struct LaneBook {
     std::vector<std::pair<NodeId, bool>> flips;  // consistency transitions
@@ -292,21 +299,18 @@ class Simulator {
   void maybe_undegrade();
   void add_pending_delete(Edge e);
   static bool erase_sorted(std::vector<Edge>& edges, Edge e);
-  // Shard bodies for the parallel engine (also the sequential loop bodies,
-  // called as lane 0 with the full range).
-  void react_shard(std::size_t lane, std::size_t begin, std::size_t end);
-  void receive_shard(std::size_t lane, std::size_t begin, std::size_t end);
-  void receive_shard_node(NodeId v);
-  // Slot bodies for the partitioned engine (S > 1): slot p = s * L + l
-  // covers chunk l of shard s's sub-range of active_ / stepped_
-  // (boundaries precomputed into *_bounds_ by binary search on the
-  // partition).  `pool_lane` indexes the scratch outbox; `p` indexes the
-  // fabric staging slot and the Phase 3 book.
-  void react_slots(std::size_t pool_lane, std::size_t begin, std::size_t end);
-  void receive_slots(std::size_t pool_lane, std::size_t begin,
-                     std::size_t end);
-  void react_slot(std::size_t slot, std::size_t pool_lane);
-  void receive_slot(std::size_t slot, std::size_t pool_lane);
+  // The slot grid (see the header comment).  run_grid is the one dispatch
+  // of Phase 1 and Phase 3: it runs `task` over every slot, on the pool
+  // when there is one and the phase's node set exceeds the inline cutoff,
+  // otherwise inline as lane 0.  A slot indexes the fabric staging batch
+  // and the Phase 3 book; `out` is the running lane's scratch outbox.
+  void run_grid(std::size_t set_size, const WorkerPool::TaskFn& task);
+  void react_slot(std::size_t slot, Outbox& out);
+  void receive_slot(std::size_t slot);
+  // Slot p's range [first, second) in the ascending id vector whose shard
+  // boundaries are `bounds`.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> slot_range(
+      const std::vector<std::size_t>& bounds, std::size_t slot) const;
   // Fills `bounds` (size S + 1) with the partition boundaries of the
   // ascending id vector `ids`: shard s owns ids[bounds[s]..bounds[s+1]).
   void compute_shard_bounds(const std::vector<NodeId>& ids,
@@ -340,7 +344,7 @@ class Simulator {
   std::size_t shards_;                 // effective S (max(1, config.shards))
   std::size_t lanes_;                  // effective L (max(1, config.threads))
   ShardFabric fabric_;                 // the partitioned message path
-  std::vector<Outbox> lane_outbox_;    // one scratch outbox per pool lane
+  std::vector<Outbox> lane_outbox_;    // one scratch outbox per lane
   std::vector<LaneBook> lane_books_;   // Phase 3 accounting, per slot
   std::vector<std::size_t> active_bounds_;   // partition bounds in active_
   std::vector<std::size_t> stepped_bounds_;  // partition bounds in stepped_
@@ -350,7 +354,6 @@ class Simulator {
   std::vector<NodeId> carry_;         // wants_to_act() carryover to next round
   std::vector<std::uint32_t> active_mark_;  // epoch stamps for active_ dedup
   std::uint32_t active_epoch_ = 0;
-  bool bootstrap_ = false;  // dense round pending after set_sparse_rounds
   // Transport seam + degraded-mode recovery state.  The pending vectors
   // are kept sorted (deterministic flicker emission order); an edge lives
   // in at most one of them: pending_delete_ holds present edges awaiting
@@ -369,13 +372,12 @@ class Simulator {
   std::vector<std::uint32_t> pending_incident_;
   std::vector<EdgeEvent> merged_events_;   // recovery + reconciled workload
   std::vector<EdgeEvent> reconciled_;      // reconcile scratch
-  std::unique_ptr<WorkerPool> pool_;  // non-null iff config_.threads > 0
-  // Persistent type-erased shard tasks (built once; a per-round
-  // std::function construction would allocate in steady state).
-  WorkerPool::ShardFn react_task_;
-  WorkerPool::ShardFn receive_task_;
-  WorkerPool::ShardFn react_slots_task_;    // S > 1 slot-grid dispatch
-  WorkerPool::ShardFn receive_slots_task_;
+  std::unique_ptr<WorkerPool> pool_;  // non-null iff lanes_ >= 2
+  // Persistent type-erased slot tasks, each walking slots [begin, end)
+  // (built once; a per-round std::function construction would allocate in
+  // steady state).
+  WorkerPool::TaskFn react_slots_task_;
+  WorkerPool::TaskFn receive_slots_task_;
 };
 
 }  // namespace dynsub::net

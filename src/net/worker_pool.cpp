@@ -9,17 +9,16 @@ namespace dynsub::net {
 
 namespace {
 
-/// Shard s of `lanes` over [0, count): deterministic contiguous split with
+/// Lane l's range over [0, count): deterministic contiguous split with
 /// sizes differing by at most one.
-constexpr std::size_t shard_bound(std::size_t count, std::size_t lanes,
-                                  std::size_t s) {
-  return count * s / lanes;
+constexpr std::size_t lane_bound(std::size_t count, std::size_t lanes,
+                                 std::size_t l) {
+  return count * l / lanes;
 }
 
 }  // namespace
 
-WorkerPool::WorkerPool(std::size_t lanes, std::size_t inline_cutoff)
-    : inline_cutoff_(inline_cutoff) {
+WorkerPool::WorkerPool(std::size_t lanes) {
   DYNSUB_CHECK(lanes >= 1);
   workers_.reserve(lanes - 1);
   for (std::size_t lane = 1; lane < lanes; ++lane) {
@@ -38,29 +37,7 @@ WorkerPool::~WorkerPool() {
   for (auto& w : workers_) w.join();
 }
 
-void WorkerPool::run_sharded(std::size_t count, const ShardFn& fn) {
-  // Tiny batches run inline on the calling thread: a fork-join dispatch
-  // costs microseconds, which dwarfs a handful of node steps (the
-  // quiescent/sparse regime).  Identical results either way -- shard
-  // layout only affects which thread executes a slot, never the slots.
-  if (workers_.empty() || count <= inline_cutoff_) {
-    if (count > 0) fn(0, 0, count);
-    return;
-  }
-  dispatch(count, fn);
-}
-
-void WorkerPool::run_tasks(std::size_t count, const ShardFn& fn) {
-  // No inline cutoff: a "count" of a dozen staging slots can still carry
-  // thousands of node steps each, so the caller decides when forking pays.
-  if (workers_.empty()) {
-    if (count > 0) fn(0, 0, count);
-    return;
-  }
-  dispatch(count, fn);
-}
-
-void WorkerPool::dispatch(std::size_t count, const ShardFn& fn) {
+void WorkerPool::run_tasks(std::size_t count, const TaskFn& fn) {
   const std::size_t lanes = workers_.size() + 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -71,11 +48,11 @@ void WorkerPool::dispatch(std::size_t count, const ShardFn& fn) {
   }
   work_ready_.notify_all();
   // Lane 0 runs on the calling thread -- the pool never idles the caller.
-  const std::size_t end0 = shard_bound(count, lanes, 1);
+  const std::size_t end0 = lane_bound(count, lanes, 1);
   if (end0 > 0) fn(0, 0, end0);
   if (telemetry_ != nullptr) {
     // Span the join wait: how long lane 0 sat idle after finishing its
-    // own shard is exactly the parallelism lost to shard imbalance.
+    // own range is exactly the parallelism lost to imbalance.
     using Clock = std::chrono::steady_clock;
     const Clock::time_point w0 = Clock::now();
     {
@@ -105,7 +82,7 @@ void WorkerPool::dispatch(std::size_t count, const ShardFn& fn) {
 void WorkerPool::worker_loop(std::size_t lane, std::size_t lanes) {
   std::uint64_t seen = 0;
   for (;;) {
-    const ShardFn* task = nullptr;
+    const TaskFn* task = nullptr;
     std::size_t count = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -116,8 +93,8 @@ void WorkerPool::worker_loop(std::size_t lane, std::size_t lanes) {
       task = task_;
       count = task_count_;
     }
-    const std::size_t begin = shard_bound(count, lanes, lane);
-    const std::size_t end = shard_bound(count, lanes, lane + 1);
+    const std::size_t begin = lane_bound(count, lanes, lane);
+    const std::size_t end = lane_bound(count, lanes, lane + 1);
     if (begin < end) (*task)(lane, begin, end);
     {
       std::lock_guard<std::mutex> lock(mutex_);

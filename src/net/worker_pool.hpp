@@ -1,21 +1,20 @@
 // A persistent, fixed-size fork-join pool for the parallel round engine.
 //
-// The round engine's Phase 1 (react_and_send) and Phase 3
-// (receive_and_update) are embarrassingly parallel -- each node touches
-// only its own program state and read-only routing buffers -- but they run
-// up to millions of times per second, so the pool is built for cheap
+// The round engine runs Phase 1 (react_and_send) and Phase 3
+// (receive_and_update) as a grid of staging slots (net/simulator.hpp);
+// with two or more lanes it hands that grid to this pool.  Those phases
+// run up to millions of times per second, so the pool is built for cheap
 // repeated dispatch rather than generality:
 //
 //   * `lanes` execution lanes are fixed at construction: lane 0 is the
 //     calling thread, lanes 1..lanes-1 are worker threads parked on a
 //     condition variable between dispatches (no per-round thread spawn),
-//   * run_sharded(count, fn) splits [0, count) into `lanes` *contiguous*
-//     shards (shard s = [count*s/lanes, count*(s+1)/lanes)) and blocks
-//     until every shard finished -- the barrier's mutex hand-off is the
+//   * run_tasks(count, fn) splits [0, count) into `lanes` *contiguous*
+//     ranges (lane l = [count*l/lanes, count*(l+1)/lanes)) and blocks
+//     until every range finished -- the barrier's mutex hand-off is the
 //     happens-before edge that lets the caller read worker-written state,
-//   * the shard layout is a pure function of (count, lanes), so which lane
-//     executes which node is deterministic -- the engine relies on this to
-//     keep per-slot outbox assignment identical run to run.
+//   * the split is a pure function of (count, lanes), so which lane runs
+//     which task is deterministic run to run.
 //
 // The pool deliberately has no queue: exactly one task is in flight, which
 // is all a lockstep round engine can use and keeps dispatch to one lock +
@@ -37,17 +36,15 @@ namespace dynsub::net {
 
 class WorkerPool {
  public:
-  /// A shard body: processes indices [begin, end) on execution lane
+  /// A task body: processes task indices [begin, end) on execution lane
   /// `lane` (0 = the calling thread).  Must tolerate concurrent invocation
   /// on disjoint ranges; the lane index lets bodies use lane-local state
-  /// (outbox scratch, staging batches, accounting books) with no sharing.
-  using ShardFn =
+  /// (outbox scratch) with no sharing.
+  using TaskFn =
       std::function<void(std::size_t lane, std::size_t begin, std::size_t end)>;
 
-  /// Spawns lanes - 1 worker threads (lanes >= 1; lanes == 1 degenerates
-  /// to running everything on the calling thread).
-  explicit WorkerPool(std::size_t lanes,
-                      std::size_t inline_cutoff = kInlineCutoff);
+  /// Spawns lanes - 1 worker threads (lanes >= 1).
+  explicit WorkerPool(std::size_t lanes);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -55,48 +52,30 @@ class WorkerPool {
 
   [[nodiscard]] std::size_t lanes() const { return workers_.size() + 1; }
 
-  /// Default for the constructor's `inline_cutoff`: batches at or below
-  /// this size run inline on the calling thread -- a condvar fork-join
-  /// costs microseconds, a few dozen node steps cost nanoseconds each.
-  /// Results are identical either way (shard layout only picks which
-  /// thread executes a slot, never the slots), so tests that want to
-  /// *race* every dispatch pass 0.
-  static constexpr std::size_t kInlineCutoff = 32;
-
-  /// Runs fn over [0, count) split into lanes() contiguous shards, lane 0
-  /// on the calling thread, and returns only after every shard completed.
-  /// Empty shards are skipped; counts <= the inline cutoff run entirely
-  /// on the calling thread.
-  void run_sharded(std::size_t count, const ShardFn& fn);
-
-  /// Like run_sharded, but for pre-chunked task grids (e.g. the shard
-  /// engine's W = shards x lanes staging slots): the inline cutoff is
-  /// ignored because `count` counts *tasks*, not node steps -- the caller
-  /// already decided the batch is worth forking.  Runs inline only when
-  /// the pool has no workers.
-  void run_tasks(std::size_t count, const ShardFn& fn);
+  /// Runs fn over [0, count) split into lanes() contiguous ranges, lane 0
+  /// on the calling thread, and returns only after every range completed.
+  /// An empty range makes no call.
+  void run_tasks(std::size_t count, const TaskFn& fn);
 
   /// Attach a TIMING-enabled telemetry sink (or nullptr to detach): each
-  /// pooled dispatch then emits a lane-0 kBarrier span covering the time
-  /// the calling thread spent waiting on the join after finishing its own
-  /// shard -- the direct read on lost parallelism from shard imbalance.
-  /// The caller must have verified timing_enabled(); the pool never
-  /// touches the clock when no sink is attached.
+  /// dispatch then emits a lane-0 kBarrier span covering the time the
+  /// calling thread spent waiting on the join after finishing its own
+  /// range -- the direct read on lost parallelism from imbalance.  The
+  /// caller must have verified timing_enabled(); the pool never touches
+  /// the clock when no sink is attached.
   void set_telemetry(telemetry::TelemetrySink* sink) { telemetry_ = sink; }
 
  private:
   void worker_loop(std::size_t lane, std::size_t lanes);
-  void dispatch(std::size_t count, const ShardFn& fn);
 
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable work_done_;
-  const ShardFn* task_ = nullptr;  // valid while generation_ is current
+  const TaskFn* task_ = nullptr;  // valid while generation_ is current
   std::size_t task_count_ = 0;
   std::size_t pending_ = 0;
   std::uint64_t generation_ = 0;
   bool stop_ = false;
-  std::size_t inline_cutoff_ = kInlineCutoff;
   telemetry::TelemetrySink* telemetry_ = nullptr;  // not owned
   std::vector<std::thread> workers_;
 };

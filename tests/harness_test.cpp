@@ -5,8 +5,11 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "core/robust2hop.hpp"
+#include "harness/engine_flags.hpp"
 #include "harness/experiment.hpp"
 #include "net/workload.hpp"
 
@@ -92,6 +95,53 @@ TEST(HarnessTest, ParallelForSingleThreadFallback) {
 
 TEST(HarnessTest, ParallelForZeroCountIsNoop) {
   parallel_for(0, [&](std::size_t) { FAIL() << "must not be called"; });
+}
+
+// The engine-flag value parsers shared by dynsub_run, dynsub_serve and the
+// bench CLI: boundaries, strictness, and a reason that names the flag.
+TEST(EngineFlagsTest, ThreadsTakeZeroThrough256) {
+  std::string error;
+  EXPECT_EQ(parse_threads_flag("0", &error), std::optional<std::size_t>{0});
+  EXPECT_EQ(parse_threads_flag("256", &error),
+            std::optional<std::size_t>{256});
+  EXPECT_EQ(parse_threads_flag("257", &error), std::nullopt);
+  EXPECT_EQ(error, "--threads wants an unsigned integer <= 256, got '257'");
+  EXPECT_EQ(parse_threads_flag("-1", &error), std::nullopt);
+  EXPECT_EQ(parse_threads_flag("", &error), std::nullopt);
+}
+
+TEST(EngineFlagsTest, ShardsTakeOneThrough64) {
+  std::string error;
+  EXPECT_EQ(parse_shards_flag("0", &error), std::nullopt);
+  EXPECT_EQ(error, "--shards wants an unsigned integer in 1..64, got '0'");
+  EXPECT_EQ(parse_shards_flag("1", &error), std::optional<std::size_t>{1});
+  EXPECT_EQ(parse_shards_flag("64", &error), std::optional<std::size_t>{64});
+  EXPECT_EQ(parse_shards_flag("65", &error), std::nullopt);
+}
+
+TEST(EngineFlagsTest, SeedIsAStrictU64) {
+  std::string error;
+  EXPECT_EQ(parse_seed_flag("10O", &error), std::nullopt);
+  EXPECT_EQ(error, "--seed wants an unsigned integer, got '10O'");
+  EXPECT_EQ(parse_seed_flag("0", &error), std::optional<std::uint64_t>{0});
+  EXPECT_EQ(parse_seed_flag("18446744073709551615", &error),
+            std::optional<std::uint64_t>{~std::uint64_t{0}});
+  EXPECT_EQ(parse_seed_flag("18446744073709551616", &error), std::nullopt);
+}
+
+TEST(EngineFlagsTest, FaultsTakeNoneOrAChaosPlan) {
+  std::string error;
+  const auto none = parse_faults_flag("none", &error);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_FALSE(none->enabled);
+  const auto chaos = parse_faults_flag("chaos(seed=7, drop=0.01)", &error);
+  ASSERT_TRUE(chaos.has_value());
+  EXPECT_TRUE(chaos->enabled);
+  EXPECT_EQ(chaos->seed, 7u);
+  EXPECT_EQ(parse_faults_flag("chaos(drop=1.5)", &error), std::nullopt);
+  EXPECT_EQ(error.rfind("--faults: ", 0), 0u) << error;
+  EXPECT_EQ(parse_faults_flag("mayhem(seed=1)", &error), std::nullopt);
+  EXPECT_EQ(error.rfind("--faults: ", 0), 0u) << error;
 }
 
 }  // namespace

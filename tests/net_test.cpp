@@ -2,12 +2,17 @@
 // round anatomy, LocalView bookkeeping, and the amortized-complexity meter.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "net/local_view.hpp"
 #include "net/message.hpp"
 #include "net/metrics.hpp"
 #include "net/simulator.hpp"
+#include "net/worker_pool.hpp"
 #include "net/workload.hpp"
 
 namespace dynsub::net {
@@ -420,6 +425,54 @@ TEST(MetricsTest, PerNodeSupIsZeroOnAllConsistentRuns) {
   EXPECT_DOUBLE_EQ(m.per_node_amortized_sup(), 0.0);
   EXPECT_DOUBLE_EQ(m.amortized(), 0.0);
   EXPECT_DOUBLE_EQ(m.amortized_sup(), 0.0);
+}
+
+// ------------------------------------------------------- worker pool ----
+
+TEST(WorkerPoolTest, SplitIsTheEnginesDeterminismContract) {
+  // The engine hands the pool its slot grid and keeps one scratch outbox
+  // per lane, so every slot must run exactly once, on one lane, by the
+  // documented split: lane l runs [count*l/lanes, count*(l+1)/lanes),
+  // lane 0 on the calling thread, and an empty range makes no call.
+  struct Call {
+    std::size_t lane, begin, end;
+    std::thread::id thread;
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t lanes : {1u, 2u, 3u, 4u, 8u}) {
+    WorkerPool pool(lanes);
+    ASSERT_EQ(pool.lanes(), lanes);
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, lanes - 1, lanes, std::size_t{17}}) {
+      std::mutex mu;
+      std::vector<Call> calls;
+      std::vector<std::atomic<int>> runs(count);
+      pool.run_tasks(count, [&](std::size_t lane, std::size_t begin,
+                                std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) runs[i].fetch_add(1);
+        const std::lock_guard<std::mutex> lock(mu);
+        calls.push_back({lane, begin, end, std::this_thread::get_id()});
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "lanes=" << lanes << " count=" << count << " index " << i;
+      }
+      std::vector<int> calls_per_lane(lanes, 0);
+      for (const Call& c : calls) {
+        ASSERT_LT(c.lane, lanes);
+        ++calls_per_lane[c.lane];
+        EXPECT_EQ(c.begin, count * c.lane / lanes);
+        EXPECT_EQ(c.end, count * (c.lane + 1) / lanes);
+        EXPECT_EQ(c.thread == caller, c.lane == 0)
+            << "lanes=" << lanes << " count=" << count << " lane " << c.lane;
+      }
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const bool empty = count * l / lanes == count * (l + 1) / lanes;
+        EXPECT_EQ(calls_per_lane[l], empty ? 0 : 1)
+            << "lanes=" << lanes << " count=" << count << " lane " << l;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- workloads ----

@@ -899,6 +899,25 @@ TEST(SimulatorMemoryTest, EngineBytesPerNodeStayUnderBound) {
       << "engine heap bytes per node at construction";
 }
 
+TEST(SimulatorMemoryTest, BootstrapNodeSetsAreHandedBack) {
+  // Round 1 steps all n nodes, so the active set and its merge with the
+  // pure receivers grow to n entries each.  From round 2 on a round needs
+  // O(active) of them; an idle network must not keep 2n entries for the
+  // rest of the run.
+  constexpr std::size_t kNodes = std::size_t{1} << 16;
+  const NodeFactory factory = [](NodeId, std::size_t) {
+    return std::make_unique<IdleNode>();
+  };
+  Simulator sim(kNodes, factory, {.track_prev_graph = false});
+  sim.step({});
+  ASSERT_EQ(sim.last_round_active(), kNodes);
+  EXPECT_GE(sim.retained_capacity(), 2 * kNodes);
+  for (int r = 0; r < 3; ++r) sim.step({});
+  EXPECT_EQ(sim.last_round_stepped(), 0u);
+  EXPECT_LE(sim.retained_capacity(), 64u)
+      << "per-round node sets still hold the bootstrap's capacity";
+}
+
 TEST(SimulatorMemoryTest, RouterCapacityDecaysToSteadyState) {
   // Clique bootstrap: one round with 64*63 payloads, then quiet rounds.
   // The routing fabric must hand the burst's buffers back instead of

@@ -562,44 +562,5 @@ TEST(ParallelEquivalence, EpochWrapIsInvisibleAtEveryLaneCount) {
   }
 }
 
-TEST(SimulatorEquivalence, SparseToggleMidRunStaysEquivalent) {
-  // set_sparse_rounds: dense rounds do not maintain the carry set, so
-  // re-enabling sparse must re-bootstrap densely -- the toggling engine
-  // stays in lockstep with an always-dense reference through two toggles.
-  dynamics::RandomChurnParams cp;
-  cp.n = 32;
-  cp.target_edges = 64;
-  cp.max_changes = 5;
-  cp.rounds = 120;
-  cp.seed = 0xF6u;
-  dynamics::RandomChurnWorkload wl(cp);
-  const auto factory = testing::factory_of<core::TriangleNode>();
-  net::Simulator reference(cp.n, factory, {.sparse_rounds = false});
-  net::Simulator toggling(cp.n, factory, {.sparse_rounds = true});
-  const auto state_of = known_edges_of<core::TriangleNode>();
-  std::size_t rounds = 0;
-  while (rounds < 100000 &&
-         !(wl.finished() && reference.all_consistent())) {
-    if (rounds == 40) toggling.set_sparse_rounds(false);
-    if (rounds == 80) toggling.set_sparse_rounds(true);
-    net::WorkloadObservation obs{reference.graph(), reference.round() + 1,
-                                 reference.all_consistent()};
-    const std::vector<EdgeEvent> batch =
-        wl.finished() ? std::vector<EdgeEvent>{} : wl.next_round(obs);
-    const net::RoundResult rr = reference.step(batch);
-    const net::RoundResult rt = toggling.step(batch);
-    ASSERT_EQ(rr, rt) << "toggling engine diverged at round " << rr.round;
-    ASSERT_EQ(reference.consistency(), toggling.consistency());
-    for (NodeId v = 0; v < cp.n; ++v) {
-      ASSERT_TRUE(state_of(reference, v) == state_of(toggling, v))
-          << "node " << v << " diverged at round " << rr.round;
-    }
-    ++rounds;
-  }
-  ASSERT_TRUE(reference.all_consistent());
-  expect_metrics_equal(reference.metrics(), toggling.metrics());
-  EXPECT_EQ(core::audit_triangle(toggling), std::nullopt);
-}
-
 }  // namespace
 }  // namespace dynsub

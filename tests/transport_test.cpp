@@ -612,6 +612,62 @@ TEST(DegradedMode, KillWindowDegradesHonestlyAndRecovers) {
   EXPECT_EQ(core::audit_triangle(sim), std::nullopt);
 }
 
+TEST(DegradedMode, LossDoesNotDependOnTheInlineCutoff) {
+  // A lost frame degrades the destinations staged in its slot, so which
+  // nodes degrade may depend on the slot grid (shards x lanes) and the
+  // plan, never on whether a round was small enough to run inline.  At
+  // n = 24 every round is under the default cutoff: one engine walks the
+  // grid inline every round, the other (cutoff 0) forks every round, and
+  // both must lose the same frames and recover identically.
+  net::FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 13;
+  plan.kill_lane = 0;
+  plan.kill_from = 5;
+  plan.kill_until = 12;
+  plan.max_retries = 0;
+  dynamics::RandomChurnParams cp;
+  cp.n = 24;
+  cp.target_edges = 48;
+  cp.max_changes = 4;
+  cp.rounds = 30;
+  cp.seed = 0xC6u;
+  dynamics::RandomChurnWorkload wl(cp);
+  net::SimulatorConfig inline_cfg;
+  inline_cfg.threads = 4;
+  inline_cfg.faults = plan;
+  ASSERT_GE(inline_cfg.threads_inline_cutoff, cp.n);
+  net::SimulatorConfig forked_cfg = inline_cfg;
+  forked_cfg.threads_inline_cutoff = 0;
+  const auto factory = testing::factory_of<core::TriangleNode>();
+  net::Simulator inlined(cp.n, factory, inline_cfg);
+  net::Simulator forked(cp.n, factory, forked_cfg);
+  bool saw_partial_loss = false;
+  std::size_t rounds = 0;
+  while (rounds < 100000 && !(wl.finished() && inlined.all_consistent())) {
+    net::WorkloadObservation obs{inlined.graph(), inlined.round() + 1,
+                                 inlined.all_consistent()};
+    const std::vector<EdgeEvent> batch =
+        wl.finished() ? std::vector<EdgeEvent>{} : wl.next_round(obs);
+    const net::RoundResult ri = inlined.step(batch);
+    const net::RoundResult rf = forked.step(batch);
+    ASSERT_EQ(ri, rf) << "diverged at round " << ri.round;
+    ASSERT_EQ(inlined.degraded(), forked.degraded())
+        << "degraded sets differ at round " << ri.round;
+    ASSERT_EQ(inlined.consistency(), forked.consistency());
+    saw_partial_loss = saw_partial_loss ||
+                       (inlined.last_round_had_loss() &&
+                        inlined.degraded_count() > 0 &&
+                        inlined.degraded_count() < cp.n);
+    ++rounds;
+  }
+  // Lane 0's frame held only part of the round's traffic.
+  ASSERT_TRUE(saw_partial_loss);
+  EXPECT_TRUE(inlined.metrics().transport() == forked.metrics().transport());
+  EXPECT_TRUE(forked.all_consistent());
+  EXPECT_EQ(core::audit_triangle(inlined), std::nullopt);
+}
+
 TEST(DegradedMode, OutagesStaySoundAtEveryLaneCount) {
   // The same outage plan at 1, 2, 4, and 8 lanes (killing lane 0 only, so
   // multi-lane runs lose a *shard* of the traffic): soundness and

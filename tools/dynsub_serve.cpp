@@ -48,6 +48,7 @@
 #include "common/format.hpp"
 #include "detect/registry.hpp"
 #include "detect/session.hpp"
+#include "harness/engine_flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
 #include "net/faults.hpp"
@@ -116,8 +117,8 @@ void usage(const char* argv0) {
       "  --telemetry PATH  write per-round telemetry JSONL\n"
       "  --record PATH   write the churn event trace for later --replay\n"
       "  --n N           default node count (scenario may raise it)\n"
-      "  --threads T     parallel round engine with T lanes (0 = seq;\n"
-      "                  the answer stream is bit-identical either way)\n"
+      "  --threads T     parallel round engine with T lanes (0 or 1 =\n"
+      "                  sequential; the answer stream is bit-identical)\n"
       "  --shards S      partition the network into S shards with\n"
       "                  per-shard Routers trading lane-batch frames at\n"
       "                  the round barrier (default 1; the answer stream\n"
@@ -157,6 +158,16 @@ std::optional<Options> parse_args(int argc, char** argv) {
     }
     return *v;
   };
+  // The engine flags share their value checks with every front end.
+  std::string error;
+  auto engine_flag = [&](auto parsed, auto& field) {
+    if (parsed) {
+      field = *parsed;
+    } else {
+      std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+      parse_failed = true;
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const char* v = nullptr;
@@ -192,33 +203,16 @@ std::optional<Options> parse_args(int argc, char** argv) {
       o.n = static_cast<std::size_t>(parse_flag_u64("--n", v));
     } else if (arg == "--threads") {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      o.threads = static_cast<std::size_t>(parse_flag_u64("--threads", v));
-      if (o.threads > 256) {
-        std::fprintf(stderr, "%s: --threads %zu is out of range (max 256)\n",
-                     argv[0], o.threads);
-        parse_failed = true;
-      }
+      engine_flag(harness::parse_threads_flag(v, &error), o.threads);
     } else if (arg == "--shards") {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      o.shards = static_cast<std::size_t>(parse_flag_u64("--shards", v));
-      if (o.shards == 0 || o.shards > 64) {
-        std::fprintf(stderr, "%s: --shards %zu is out of range (1..64)\n",
-                     argv[0], o.shards);
-        parse_failed = true;
-      }
+      engine_flag(harness::parse_shards_flag(v, &error), o.shards);
     } else if (arg == "--faults") {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      std::string error;
-      const auto plan = net::parse_fault_plan(v, &error);
-      if (!plan) {
-        std::fprintf(stderr, "%s: --faults: %s\n", argv[0], error.c_str());
-        parse_failed = true;
-      } else {
-        o.faults = *plan;
-      }
+      engine_flag(harness::parse_faults_flag(v, &error), o.faults);
     } else if (arg == "--seed") {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      o.seed = parse_flag_u64("--seed", v);
+      engine_flag(harness::parse_seed_flag(v, &error), o.seed);
     } else if (arg == "--max-rounds") {
       if ((v = value(i)) == nullptr) return std::nullopt;
       o.max_rounds =
