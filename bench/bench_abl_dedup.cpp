@@ -54,9 +54,7 @@ Outcome run(std::size_t deg, bool paper_literal, std::size_t flickers) {
   core::Robust3HopNode::Options opts;
   opts.paper_literal_l2_forward = paper_literal;
   net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>(opts),
-                     {.enforce_bandwidth = true,
-                      .track_prev_graph = false,
-                      .collect_phase_timings = true});
+                     {.collect_phase_timings = true});
   net::ScriptedWorkload wl(star_script(deg, flickers));
   Outcome out;
   const auto start = std::chrono::steady_clock::now();

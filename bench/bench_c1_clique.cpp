@@ -40,9 +40,7 @@ Cell run(std::size_t n, std::size_t k, std::size_t rounds,
   const auto detector = bench::build_detector_or_die(
       "triangle(k=" + std::to_string(k) + ")");
   net::Simulator sim(n, detector->factory(),
-                     {.enforce_bandwidth = true,
-                      .track_prev_graph = false,
-                      .collect_phase_timings = true});
+                     {.collect_phase_timings = true});
   bench::run_timed(sim, *built.workload, 1000000);
   Cell cell;
   cell.amortized = sim.metrics().amortized();

@@ -40,9 +40,7 @@ std::unique_ptr<net::Simulator> run_churn(std::size_t n,
                                           std::size_t rounds) {
   auto sim = std::make_unique<net::Simulator>(
       n, bench::factory_of<NodeT>(),
-      net::SimulatorConfig{.enforce_bandwidth = true,
-                           .track_prev_graph = false,
-                           .collect_phase_timings = true});
+      net::SimulatorConfig{.collect_phase_timings = true});
   dynamics::RandomChurnParams cp;
   cp.n = n;
   cp.target_edges = 3 * n;

@@ -30,8 +30,7 @@ void run_rounds(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   net::Simulator sim(
       n,
-      [](NodeId v, std::size_t nn) { return std::make_unique<NodeT>(v, nn); },
-      {.enforce_bandwidth = true, .track_prev_graph = false});
+      [](NodeId v, std::size_t nn) { return std::make_unique<NodeT>(v, nn); });
   dynamics::RandomChurnParams cp;
   cp.n = n;
   cp.target_edges = 2 * n;
@@ -74,9 +73,7 @@ void quiescent_round(benchmark::State& state, bool sparse) {
       [](NodeId v, std::size_t nn) {
         return std::make_unique<core::Robust2HopNode>(v, nn);
       },
-      {.enforce_bandwidth = true,
-       .track_prev_graph = false,
-       .sparse_rounds = sparse});
+      {.sparse_rounds = sparse});
   // A little topology plus a full drain, so quiescence is the steady
   // state of a real network, not the empty-graph special case.
   std::vector<EdgeEvent> ring;

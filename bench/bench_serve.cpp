@@ -39,9 +39,7 @@ detect::Session open_session_or_die(const std::string& scenario,
   sopts.detector = "triangle";
   sopts.scenario = scenario;
   sopts.quick = quick;
-  sopts.sim = {.enforce_bandwidth = true,
-               .track_prev_graph = false,
-               .sparse_rounds = true,
+  sopts.sim = {.sparse_rounds = true,
                .collect_phase_timings = false,
                .threads = 0,
                .faults = {}};

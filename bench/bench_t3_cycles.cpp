@@ -34,9 +34,7 @@ Cell run(std::size_t n, std::size_t k, std::size_t rounds) {
   pp.seed = 0x4C + n * 13 + k;
   dynamics::PlantedCycleWorkload wl(pp);
   net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>(),
-                     {.enforce_bandwidth = true,
-                      .track_prev_graph = true,
-                      .collect_phase_timings = true});
+                     {.collect_phase_timings = true});
   bench::run_timed(sim, wl, 1000000);
   Cell cell;
   cell.amortized = sim.metrics().amortized();

@@ -30,8 +30,7 @@ Cell run_random(std::size_t n, std::size_t rounds) {
   cp.rounds = rounds;
   cp.seed = 0x36 + n;
   dynamics::RandomChurnWorkload wl(cp);
-  net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>(),
-                     {.enforce_bandwidth = true, .track_prev_graph = false});
+  net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>());
   Cell cell;
   std::size_t steps = 0;
   while (steps < 1000000 && !(wl.finished() && sim.all_consistent())) {

@@ -382,9 +382,7 @@ inline harness::RunSummary run_experiment(std::size_t n,
   // feeding the latency_p50/p99 percentiles of the bench JSON.
   telemetry::TelemetryRecorder rec(telemetry::RecorderOptions{
       .timing = true, .keep_rounds = false, .keep_spans = false});
-  net::Simulator sim(n, factory, {.enforce_bandwidth = true,
-                                  .track_prev_graph = false,
-                                  .sparse_rounds = true,
+  net::Simulator sim(n, factory, {.sparse_rounds = true,
                                   .collect_phase_timings = true,
                                   .threads = threads,
                                   .shards = shards,

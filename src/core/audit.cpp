@@ -104,7 +104,7 @@ std::optional<std::string> audit_cliques(const net::Simulator& sim, int k) {
 
 std::optional<std::string> audit_robust3hop(const net::Simulator& sim) {
   const auto& g = sim.graph();
-  const auto& gp = sim.prev_graph();
+  const oracle::TimestampedGraph gp = sim.prev_graph();
   for (NodeId v = 0; v < sim.node_count(); ++v) {
     if (!sim.consistency()[v]) continue;
     const auto* node = dynamic_cast<const Robust3HopNode*>(&sim.node(v));
@@ -151,7 +151,7 @@ std::optional<std::string> audit_robust3hop(const net::Simulator& sim) {
 }
 
 std::optional<std::string> audit_cycle_listing(const net::Simulator& sim) {
-  const auto& gp = sim.prev_graph();
+  const oracle::TimestampedGraph gp = sim.prev_graph();
 
   // Soundness: a consistent node's true answer implies the cycle in G_{i-1}.
   const auto truth4 = oracle::all_4_cycles(gp);

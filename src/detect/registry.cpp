@@ -252,9 +252,6 @@ class Robust3HopDetector final : public DetectorBase {
   [[nodiscard]] std::optional<std::string> audit(
       const net::Simulator& sim) const override {
     if (auto bad = core::audit_robust3hop(sim)) return bad;
-    // The cycle-listing guarantee is stated against G_{i-1}; it can only
-    // be cross-examined when the simulator tracks it.
-    if (!sim.config().track_prev_graph) return std::nullopt;
     return core::audit_cycle_listing(sim);
   }
 

@@ -52,7 +52,8 @@ struct SessionOptions {
   std::size_t max_rounds = 1000000;
   /// Keep the emitted event trace during run() (recorded() serves it).
   bool record = false;
-  /// Engine knobs; the default tracks G_{i-1} so every audit is available.
+  /// Engine knobs.  Every audit works under any of them: the G_{i-1}
+  /// audits read Simulator::prev_graph(), which is always available.
   net::SimulatorConfig sim{};
 };
 

@@ -7,8 +7,8 @@
 // loop and --help text, print the reason under their program name and
 // exit 2.
 //
-// A library of its own (dynsub_flags), apart from dynsub: programs that
-// take no engine flags never link it.
+// Part of the dynsub_cli library, apart from dynsub: programs that take
+// no engine flags never link it.
 #pragma once
 
 #include <cstddef>

@@ -159,13 +159,11 @@ std::uint32_t batch_crc(std::span<const std::uint8_t> bytes) {
 
 }  // namespace
 
-Router::Router(std::size_t n, std::size_t lanes, RouterConfig config)
-    : Router(n, lanes, config, 0, n) {}
+Router::Router(std::size_t n, std::size_t lanes) : Router(n, lanes, 0, n) {}
 
-Router::Router(std::size_t n, std::size_t lanes, RouterConfig config,
-               NodeId base, std::size_t count)
-    : config_(config),
-      n_(n),
+Router::Router(std::size_t n, std::size_t lanes, NodeId base,
+               std::size_t count)
+    : n_(n),
       budget_bits_(bandwidth_bits(n)),
       payloads_(base, count, lanes),
       busy_(base, count, lanes),
@@ -198,19 +196,17 @@ void Router::validate_outbox(NodeId sender, const Outbox& out,
                                         dm.dst),
                      "round " << round_ << ": node " << sender
                               << " sent over absent link to " << dm.dst);
-    if (config_.enforce_bandwidth) {
-      const std::size_t sz = dm.msg.payload_bits(n_);
-      DYNSUB_CHECK_MSG(sz <= budget_bits_,
-                       "round " << round_ << ": node " << sender
-                                << " payload of " << sz
-                                << " bits exceeds budget " << budget_bits_);
-    }
+    const std::size_t sz = dm.msg.payload_bits(n_);
+    DYNSUB_CHECK_MSG(sz <= budget_bits_,
+                     "round " << round_ << ": node " << sender
+                              << " payload of " << sz
+                              << " bits exceeds budget " << budget_bits_);
   }
   // Duplicate-destination rule (at most one payload per directed link per
   // round): a sender's whole outbox passes through this one call, so a
   // sort over its destinations is a complete check even though no
   // cross-caller state is shared.
-  if (config_.enforce_bandwidth && out.directed().size() > 1) {
+  if (out.directed().size() > 1) {
     auto& dsts = dst_scratch;
     dsts.clear();
     for (const auto& dm : out.directed()) dsts.push_back(dm.dst);
@@ -246,9 +242,7 @@ void Router::stage_outbox(std::size_t lane, NodeId sender, Outbox& out,
   validate_outbox(sender, out, graph, lane_dst_scratch_[lane]);
   LaneTraffic& traffic = lane_traffic_[lane];
   for (auto& dm : out.directed_mut()) {
-    if (config_.enforce_bandwidth) {
-      traffic.payload_bits += dm.msg.payload_bits(n_);
-    }
+    traffic.payload_bits += dm.msg.payload_bits(n_);
     payloads_.stage(lane, dm.dst, Inbox::Item{sender, std::move(dm.msg)});
     ++traffic.messages;
   }

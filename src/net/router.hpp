@@ -316,12 +316,6 @@ struct LaneBatch {
   std::vector<std::pair<NodeId, NodeId>> two_hop;        // (dst, sender)
 };
 
-struct RouterConfig {
-  /// Assert the per-link O(log n) budget and the one-payload-per-link rule
-  /// while staging (disable only for baselines intentionally exceeding it).
-  bool enforce_bandwidth = true;
-};
-
 /// Borrowed view of one lane batch's staged sections, in staging order --
 /// what the free-standing encoder below serializes.  The shard fabric's
 /// egress books encode through this without owning a Router lane.
@@ -361,14 +355,13 @@ void encode_lane_batch(std::uint16_t lane, Round round, std::uint64_t seq,
 /// per-destination inboxes (inbox / *_touched).  See the header comment.
 class Router {
  public:
-  Router(std::size_t n, std::size_t lanes, RouterConfig config = {});
+  Router(std::size_t n, std::size_t lanes);
 
   /// Shard-scoped variant: this router owns only destinations in
   /// [base, base + count) (its bucket index arrays are sized `count`), but
   /// validates against the global `n` and its bandwidth budget.  The
-  /// default constructor above is the base == 0, count == n case.
-  Router(std::size_t n, std::size_t lanes, RouterConfig config, NodeId base,
-         std::size_t count);
+  /// constructor above is the base == 0, count == n case.
+  Router(std::size_t n, std::size_t lanes, NodeId base, std::size_t count);
 
   [[nodiscard]] std::size_t lanes() const { return lane_traffic_.size(); }
 
@@ -499,7 +492,6 @@ class Router {
   }
 
  private:
-  RouterConfig config_;
   std::size_t n_;
   std::size_t budget_bits_;
   Round round_ = 0;

@@ -9,9 +9,8 @@
 namespace dynsub::net {
 
 ShardFabric::ShardFabric(std::size_t n, std::size_t lanes_per_shard,
-                         std::size_t shards, RouterConfig config)
-    : config_(config),
-      n_(n),
+                         std::size_t shards)
+    : n_(n),
       lanes_(lanes_per_shard),
       slots_(lanes_per_shard * shards),
       part_(Partition::contiguous(n, shards)) {
@@ -23,7 +22,7 @@ ShardFabric::ShardFabric(std::size_t n, std::size_t lanes_per_shard,
                        << " lanes exceed the 16-bit wire lane space");
   routers_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    routers_.emplace_back(n, slots_, config, part_.begin(s), part_.size(s));
+    routers_.emplace_back(n, slots_, part_.begin(s), part_.size(s));
   }
   if (shards > 1) {
     egress_.resize(slots_ * shards);
@@ -50,8 +49,7 @@ void ShardFabric::stage_outbox(std::size_t slot, NodeId sender, Outbox& out,
   hr.validate_outbox(sender, out, graph, slot_scratch_[slot]);
   for (auto& dm : out.directed_mut()) {
     const std::size_t d = part_.shard_of(dm.dst);
-    std::uint64_t bits = 0;
-    if (config_.enforce_bandwidth) bits = dm.msg.payload_bits(n_);
+    const std::uint64_t bits = dm.msg.payload_bits(n_);
     if (d == home) {
       hr.stage_payload(slot, dm.dst, Inbox::Item{sender, std::move(dm.msg)},
                        bits);

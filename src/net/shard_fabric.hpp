@@ -45,8 +45,7 @@ class ShardFabric {
   /// `lanes_per_shard` is the engine's worker-lane count L; `shards` is S.
   /// The fabric owns S routers with S * L ingress lanes each over the
   /// contiguous partition of [0, n).
-  ShardFabric(std::size_t n, std::size_t lanes_per_shard, std::size_t shards,
-              RouterConfig config = {});
+  ShardFabric(std::size_t n, std::size_t lanes_per_shard, std::size_t shards);
 
   [[nodiscard]] std::size_t shards() const { return routers_.size(); }
   [[nodiscard]] std::size_t lanes_per_shard() const { return lanes_; }
@@ -170,7 +169,6 @@ class ShardFabric {
     return egress_[slot * routers_.size() + shard];
   }
 
-  RouterConfig config_;
   std::size_t n_;
   std::size_t lanes_;  // L
   std::size_t slots_;  // W = S * L

@@ -25,13 +25,12 @@ Simulator::Simulator(std::size_t n, NodeFactory factory,
                      SimulatorConfig config)
     : config_(config),
       g_(n),
-      prev_g_(config.track_prev_graph ? n : 0),
       consistent_(n, true),
       metrics_(n),
       events_by_node_(n, 1),
       shards_(std::max<std::size_t>(1, config.shards)),
       lanes_(std::max<std::size_t>(1, config.threads)),
-      fabric_(n, lanes_, shards_, RouterConfig{config.enforce_bandwidth}),
+      fabric_(n, lanes_, shards_),
       lane_outbox_(lanes_),
       lane_books_(lanes_ * shards_),
       active_mark_(n, 0),
@@ -66,10 +65,17 @@ Simulator::Simulator(std::size_t n, NodeFactory factory,
   };
 }
 
-const oracle::TimestampedGraph& Simulator::prev_graph() const {
-  DYNSUB_CHECK_MSG(config_.track_prev_graph,
-                   "prev_graph() requires track_prev_graph");
-  return prev_g_;
+oracle::TimestampedGraph Simulator::prev_graph() const {
+  // The last step stamped its inserts with round_, and no earlier step
+  // could, so they are exactly the edges carrying that stamp.
+  oracle::TimestampedGraph prev = g_;
+  for (const auto& [e, t] : g_.edges()) {
+    if (t == round_) prev.apply(EdgeEvent{e, EventKind::kDelete}, round_);
+  }
+  for (const auto& [e, t] : last_deleted_) {
+    prev.apply(EdgeEvent{e, EventKind::kInsert}, t);
+  }
+  return prev;
 }
 
 void Simulator::mark_active(NodeId v) {
@@ -349,16 +355,11 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   Clock::time_point t0;
   if (timed) t0 = Clock::now();
 
-  // --- Phase 0: bring G_{i-1} up to date, apply this round's events, and
-  // assemble the active set. ---
+  // --- Phase 0: apply this round's events and assemble the active set. ---
   // Degraded-mode recovery: screen the workload batch against the flicker
   // pipeline and prepend this round's recovery events (no-op without
   // pending recovery, i.e. always for the fault-free engine).
   events = reconcile_and_recover(events);
-  if (config_.track_prev_graph) {
-    for (const auto& ev : pending_prev_) prev_g_.apply(ev, round_ - 1);
-    pending_prev_.assign(events.begin(), events.end());
-  }
   DYNSUB_CHECK_MSG(g_.batch_applicable(events),
                    "round " << round_ << ": workload batch not applicable");
   events_by_node_.begin_round();
@@ -382,7 +383,11 @@ RoundResult Simulator::step(std::span<const EdgeEvent> events) {
   } else {
     for (NodeId v : carry_) mark_active(v);
   }
+  last_deleted_.clear();
   for (const auto& ev : events) {
+    if (ev.kind == EventKind::kDelete) {
+      last_deleted_.emplace_back(ev.edge, g_.timestamp(ev.edge));
+    }
     g_.apply(ev, round_);
     events_by_node_.stage(0, ev.edge.lo(), ev);
     events_by_node_.stage(0, ev.edge.hi(), ev);

@@ -70,8 +70,11 @@
 // the paper's algorithms provably handle; audits stay sound throughout
 // because degraded nodes are excluded the same way inconsistent ones are.
 //
-// The engine also maintains G_{i-1} (needed because the paper's 3-hop and
-// cycle-listing guarantees are stated against the previous round's graph).
+// The paper's 3-hop and cycle-listing guarantees are stated against the
+// previous round's graph G_{i-1}, which only the oracle audits read.  The
+// engine keeps just G_i and the last batch's deletes with their insertion
+// timestamps (O(k) for a k-event batch); prev_graph() rebuilds G_{i-1}
+// from the two when asked, so it works in every configuration.
 // Determinism: active nodes execute in id order and see inboxes sorted by
 // sender.
 #pragma once
@@ -106,11 +109,9 @@ using NodeFactory =
     std::function<std::unique_ptr<NodeProgram>(NodeId v, std::size_t n)>;
 
 struct SimulatorConfig {
-  /// Assert per-link bandwidth and single-payload budget (disable only for
-  /// baselines intentionally exceeding it -- none currently do).
-  bool enforce_bandwidth = true;
-  /// Maintain G_{i-1}; costs O(changes) per round and a second O(n)
-  /// adjacency, which is not allocated at all when false.
+  /// Ignored: prev_graph() rebuilds G_{i-1} on demand, so there is no
+  /// second graph to switch off.  Kept only because the benchmark program
+  /// (perfbench/) still sets it; the field goes once that program stops.
   bool track_prev_graph = true;
   /// Sparse active-set rounds (see the header comment).  false = the seed
   /// engine's dense semantics: every node stepped every round.  Kept as
@@ -214,8 +215,13 @@ class Simulator {
 
   /// G_i: the graph after the last step's changes.
   [[nodiscard]] const oracle::TimestampedGraph& graph() const { return g_; }
-  /// G_{i-1} (requires track_prev_graph).
-  [[nodiscard]] const oracle::TimestampedGraph& prev_graph() const;
+  /// G_{i-1}, rebuilt on each call: a copy of graph() without the last
+  /// step's inserts (exactly the edges stamped round()) and with its
+  /// deletes restored at their insertion timestamps, recovery flickers
+  /// included.  Costs the O(n + E) copy plus one apply per event of that
+  /// step; the round path never calls it.  The empty graph before the
+  /// first step.
+  [[nodiscard]] oracle::TimestampedGraph prev_graph() const;
 
   [[nodiscard]] NodeProgram& node(NodeId v) { return *nodes_[v]; }
   [[nodiscard]] const NodeProgram& node(NodeId v) const { return *nodes_[v]; }
@@ -328,8 +334,9 @@ class Simulator {
   // no flag -- it is gated on config_.telemetry != nullptr directly).
   bool telemetry_timing_ = false;
   oracle::TimestampedGraph g_;
-  oracle::TimestampedGraph prev_g_;
-  std::vector<EdgeEvent> pending_prev_;  // last round's events, not yet in prev_g_
+  // The last step's applied deletes with the timestamps they had in G_{i-1}:
+  // with g_, all prev_graph() needs.
+  std::vector<std::pair<Edge, Timestamp>> last_deleted_;
   std::vector<std::unique_ptr<NodeProgram>> nodes_;
   std::vector<bool> consistent_;
   std::size_t inconsistent_count_ = 0;

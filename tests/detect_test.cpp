@@ -341,7 +341,9 @@ TEST(SessionTest, ScenarioRunAuditSummary) {
 }
 
 TEST(SessionTest, AuditWorksForEveryCoreDetectorOnOneScenario) {
-  for (const char* detector : {"triangle", "robust2hop", "robust3hop"}) {
+  // Every catalog entry, baselines and aliases included.
+  for (const detect::DetectorCatalogEntry& info : detect::detector_catalog()) {
+    const std::string& detector = info.example;
     detect::SessionOptions opts;
     opts.detector = detector;
     opts.scenario = "churn(n=16, target=24, max=3, rounds=40, seed=11)";

@@ -2,18 +2,28 @@
 // round anatomy, LocalView bookkeeping, and the amortized-complexity meter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/triangle.hpp"
+#include "dynamics/flicker.hpp"
+#include "dynamics/random_churn.hpp"
+#include "net/faults.hpp"
 #include "net/local_view.hpp"
 #include "net/message.hpp"
 #include "net/metrics.hpp"
 #include "net/simulator.hpp"
+#include "net/trace.hpp"
 #include "net/worker_pool.hpp"
 #include "net/workload.hpp"
+#include "sim_test_util.hpp"
 
 namespace dynsub::net {
 namespace {
@@ -284,6 +294,96 @@ TEST(SimulatorTest, PrevGraphLagsByOneRound) {
   sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(1, 2)});
   EXPECT_TRUE(sim.prev_graph().has_edge(Edge(0, 1)));
   EXPECT_FALSE(sim.prev_graph().has_edge(Edge(1, 2)));
+}
+
+// Describes the first difference between G_{i-1} as prev_graph() rebuilt
+// it and `want`, the graph() saved one step earlier: the edges with their
+// timestamps, then every neighbour list.  nullopt when they are equal.
+std::optional<std::string> prev_graph_mismatch(
+    const oracle::TimestampedGraph& got, const oracle::TimestampedGraph& want,
+    Round round) {
+  std::ostringstream os;
+  os << "round " << round << ": prev_graph() ";
+  if (got.node_count() != want.node_count()) {
+    os << "has " << got.node_count() << " nodes, want " << want.node_count();
+    return os.str();
+  }
+  if (got.edges().values() != want.edges().values()) {
+    os << "edges or timestamps differ (" << got.edge_count() << " edges, want "
+       << want.edge_count() << ")";
+    return os.str();
+  }
+  for (NodeId v = 0; v < want.node_count(); ++v) {
+    if (!std::ranges::equal(got.neighbors(v), want.neighbors(v))) {
+      os << "neighbours of node " << v << " differ";
+      return os.str();
+    }
+  }
+  return std::nullopt;
+}
+
+// Drives `wl` to completion and stability, checking before the first step
+// and after every step that prev_graph() equals the previous graph().
+void run_checking_prev_graph(Simulator& sim, Workload& wl) {
+  oracle::TimestampedGraph before = sim.graph();
+  EXPECT_EQ(prev_graph_mismatch(sim.prev_graph(), before, sim.round()),
+            std::nullopt);
+  testing::run_audited(sim, wl, 10000, [&](const Simulator& s) {
+    auto bad = prev_graph_mismatch(s.prev_graph(), before, s.round());
+    before = s.graph();
+    return bad;
+  });
+}
+
+TEST(SimulatorTest, PrevGraphIsLastRoundsGraphUnderRandomChurn) {
+  dynamics::RandomChurnParams cp;
+  cp.n = 24;
+  cp.target_edges = 40;
+  cp.max_changes = 6;
+  cp.rounds = 80;
+  cp.seed = 0x9E;
+  dynamics::RandomChurnWorkload churn(cp);
+  RecordingWorkload wl(churn);
+  Simulator sim(cp.n, probe_factory());
+  run_checking_prev_graph(sim, wl);
+  std::size_t deletes = 0;
+  for (const auto& batch : wl.rounds()) {
+    for (const auto& ev : batch) deletes += ev.kind == EventKind::kDelete;
+  }
+  EXPECT_GT(deletes, 50u);  // restores, not just removed inserts
+}
+
+TEST(SimulatorTest, PrevGraphRestoresFlickeredEdgesWithTheirTimestamps) {
+  // The Sec 1.3 adversary deletes a triangle edge and re-inserts it the
+  // next round, three times over: every restore must bring back the
+  // timestamp of the edge's latest insertion.
+  ScriptedWorkload wl(dynamics::make_repeated_flicker_scenario(12, 3).script);
+  Simulator sim(12, probe_factory());
+  run_checking_prev_graph(sim, wl);
+}
+
+TEST(SimulatorTest, PrevGraphFollowsRecoveryFlickersUnderLoss) {
+  // A lossy plan (as in transport_test's DegradedMode cases): recovery
+  // prepends flicker deletes and reinserts to the workload's batches, and
+  // G_{i-1} must follow the batch the engine applied.
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 9;
+  plan.kill_lane = 0;
+  plan.kill_from = 6;
+  plan.kill_until = 16;
+  plan.max_retries = 1;
+  dynamics::RandomChurnParams cp;
+  cp.n = 24;
+  cp.target_edges = 48;
+  cp.max_changes = 4;
+  cp.rounds = 40;
+  cp.seed = 0xC4u;
+  dynamics::RandomChurnWorkload wl(cp);
+  Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(),
+                {.faults = plan});
+  run_checking_prev_graph(sim, wl);
+  EXPECT_GT(sim.metrics().transport().recovery_events, 0u);
 }
 
 TEST(SimulatorTest, ControlBitsReachNeighbors) {

@@ -320,20 +320,6 @@ TEST(RouterTest, BandwidthOverrunAborts) {
       "exceeds budget");
 }
 
-TEST(RouterTest, EnforcementOffSkipsBudgetAndDuplicateChecks) {
-  const auto g = complete_graph(3);
-  Router r(3, 1, RouterConfig{.enforce_bandwidth = false});
-  r.begin_round(1);
-  Outbox out;
-  out.send(1, WireMessage::edge_insert(Edge(0, 1)));
-  out.send(1, WireMessage::edge_insert(Edge(0, 1)));  // duplicate: allowed
-  r.stage_outbox(0, 0, out, g);
-  const LaneTraffic traffic = r.merge();
-  EXPECT_EQ(traffic.messages, 2u);
-  EXPECT_EQ(traffic.payload_bits, 0u);  // nothing charged
-  EXPECT_EQ(r.inbox(1).payloads.size(), 2u);
-}
-
 TEST(RouterTest, ControlBitsBroadcastToAllNeighbors) {
   const auto g = complete_graph(4);
   Router r(4, 2);
@@ -877,11 +863,12 @@ class IdleNode final : public NodeProgram {
 
 TEST(SimulatorMemoryTest, EngineBytesPerNodeStayUnderBound) {
   // Heap bytes the engine requests per node at construction, node
-  // programs excluded, in churn_1m's configuration (no G_{i-1}).  Measured
-  // 68.3 B: the unique_ptr in nodes_ (8), the G_i adjacency header (24),
-  // the two Metrics counters (16), four 4-byte bucket slot indices (16),
-  // the active-set stamp (4) and two flag bits.  A new O(n) array of even
-  // 4 bytes per node fails the bound.
+  // programs excluded, in the default configuration.  Measured 68.3 B:
+  // the unique_ptr in nodes_ (8), the G_i adjacency header (24), the two
+  // Metrics counters (16), four 4-byte bucket slot indices (16), the
+  // active-set stamp (4) and two flag bits.  A new O(n) array of even
+  // 4 bytes per node fails the bound, and so would a second graph kept
+  // for G_{i-1} (another 24 B).
   constexpr std::size_t kNodes = std::size_t{1} << 16;
   constexpr double kMaxEngineBytesPerNode = 71.0;
   const NodeFactory factory = [](NodeId, std::size_t) {
@@ -890,7 +877,7 @@ TEST(SimulatorMemoryTest, EngineBytesPerNodeStayUnderBound) {
   std::size_t bytes = 0;
   {
     testing::AllocationCounter counter;
-    const Simulator sim(kNodes, factory, {.track_prev_graph = false});
+    const Simulator sim(kNodes, factory);
     bytes = counter.bytes();
   }
   const double per_node =
@@ -908,7 +895,7 @@ TEST(SimulatorMemoryTest, BootstrapNodeSetsAreHandedBack) {
   const NodeFactory factory = [](NodeId, std::size_t) {
     return std::make_unique<IdleNode>();
   };
-  Simulator sim(kNodes, factory, {.track_prev_graph = false});
+  Simulator sim(kNodes, factory);
   sim.step({});
   ASSERT_EQ(sim.last_round_active(), kNodes);
   EXPECT_GE(sim.retained_capacity(), 2 * kNodes);

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "detect/registry.hpp"
 #include "detect/session.hpp"
 #include "net/faults.hpp"
 #include "net/workload.hpp"
@@ -36,9 +37,7 @@ detect::Session scenario_session(const std::string& scenario,
   opts.detector = "triangle";
   opts.scenario = scenario;
   opts.record = record;
-  opts.sim = {.enforce_bandwidth = true,
-              .track_prev_graph = false,
-              .sparse_rounds = true,
+  opts.sim = {.sparse_rounds = true,
               .collect_phase_timings = false,
               .threads = threads,
               .faults = faults};
@@ -258,9 +257,7 @@ TEST(ServeLoopTest, AnswerStreamIdenticalAcrossRecordReplay) {
 
   detect::SessionOptions opts;
   opts.detector = "triangle";
-  opts.sim = {.enforce_bandwidth = true,
-              .track_prev_graph = false,
-              .sparse_rounds = true,
+  opts.sim = {.sparse_rounds = true,
               .collect_phase_timings = false,
               .threads = 0,
               .faults = {}};
@@ -361,6 +358,53 @@ TEST(ServeLoopTest, MalformedOrUnsupportedRequestsAreRefusedNotFatal) {
     EXPECT_EQ(r.status, serve::Status::kOk);
     EXPECT_EQ(r.answer, net::Answer::kInconsistent);
     EXPECT_FALSE(r.detail.empty());
+  }
+}
+
+TEST(ServeLoopTest, EveryCatalogDetectorAnswersEveryVerb) {
+  // One query, one list and one audit against every registry detector:
+  // each gets exactly one status=ok answer.  A shape the detector does not
+  // serve is refused as kInconsistent with a reason, and every audit --
+  // the robust 3-hop ones read G_{i-1} -- passes.
+  for (const detect::DetectorCatalogEntry& info : detect::detector_catalog()) {
+    detect::SessionOptions opts;
+    opts.detector = info.example;
+    opts.scenario = "churn(n=16, rounds=10, seed=1)";
+    std::string error;
+    auto session = detect::Session::open(std::move(opts), &error);
+    ASSERT_TRUE(session.has_value()) << info.example << ": " << error;
+    serve::RequestScript script;
+    script.entries.push_back(query_at(3, 0, 0, 1));
+    {
+      serve::ScriptedRequest e;
+      e.round = 5;
+      e.request.kind = serve::RequestKind::kList;
+      e.request.node = 0;
+      e.request.list_kind = detect::QueryKind::kTriangle;
+      script.entries.push_back(e);
+    }
+    {
+      serve::ScriptedRequest e;
+      e.round = 8;
+      e.request.kind = serve::RequestKind::kAudit;
+      script.entries.push_back(e);
+    }
+    const ScriptedRun run = run_scripted(*session, script);
+    ASSERT_EQ(run.responses.size(), 3u) << info.example;
+    for (const serve::Response& r : run.responses) {
+      EXPECT_EQ(r.status, serve::Status::kOk) << info.example;
+    }
+    const detect::Detector& det = session->detector();
+    const bool supported[] = {det.supports_query(detect::QueryKind::kEdge),
+                              det.supports_list(detect::QueryKind::kTriangle)};
+    for (std::size_t i = 0; i < 2; ++i) {
+      if (supported[i]) continue;
+      EXPECT_EQ(run.responses[i].answer, net::Answer::kInconsistent)
+          << info.example;
+      EXPECT_FALSE(run.responses[i].detail.empty()) << info.example;
+    }
+    EXPECT_EQ(run.responses[2].answer, net::Answer::kTrue)
+        << info.example << ": " << run.responses[2].detail;
   }
 }
 

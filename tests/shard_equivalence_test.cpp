@@ -338,7 +338,6 @@ TEST(ShardEquivalence, RecordedTraceBytesIdenticalAcrossShardCounts) {
     opts.scenario = "multi-community-churn";
     opts.quick = true;
     opts.record = true;
-    opts.sim.track_prev_graph = false;
     opts.sim.threads = shards > 1 ? 2 : 0;
     opts.sim.shards = shards;
     opts.sim.threads_inline_cutoff = 0;
@@ -414,7 +413,6 @@ TEST(ShardEquivalence, ServeAnswerStreamIdenticalAcrossShardCounts) {
     detect::SessionOptions opts;
     opts.detector = "triangle";
     opts.scenario = "churn(n=32, rounds=60, seed=5)";
-    opts.sim.track_prev_graph = false;
     opts.sim.threads = shards > 1 ? 2 : 0;
     opts.sim.shards = shards;
     opts.sim.threads_inline_cutoff = 0;

@@ -431,7 +431,6 @@ TEST(ParallelEquivalence, RecordedTraceBytesIdentical) {
     opts.scenario = "multi-community-churn";
     opts.quick = true;
     opts.record = true;
-    opts.sim.track_prev_graph = false;
     opts.sim.threads = threads;
     std::string error;
     auto session = detect::Session::open(std::move(opts), &error);

@@ -2,15 +2,19 @@
 // query layer on the Lemma 1 structure.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "baseline/full2hop.hpp"
 #include "core/audit.hpp"
 #include "core/triangle.hpp"
+#include "detect/session.hpp"
 #include "dynamics/lb_membership.hpp"
 #include "dynamics/random_churn.hpp"
+#include "harness/trace_replay.hpp"
 #include "net/simulator.hpp"
 #include "common/rng.hpp"
 #include "net/trace.hpp"
@@ -176,6 +180,58 @@ TEST(TraceTest, RecorderCapturesRandomChurnExactly) {
   std::size_t total = 0;
   for (const auto& r : recorder.rounds()) total += r.size();
   EXPECT_EQ(total, sim.metrics().changes());
+}
+
+// --------------------------------------------------------- replay loader ----
+
+// Writes `text` to a fresh file under the test temp dir; returns its path.
+std::string write_trace_file(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "trace_test_" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+// Opens a triangle replay session of the trace at `path` with --n `n`;
+// returns the refusal reason, or "" when the session opened.
+std::string replay_error(const std::string& path, std::size_t n = 0) {
+  detect::SessionOptions opts;
+  opts.n = n;
+  std::string error;
+  const auto session = harness::open_trace_replay(path, opts, &error);
+  EXPECT_EQ(session.has_value(), error.empty()) << error;
+  return error;
+}
+
+TEST(TraceReplayTest, SizesTheSimulatorFromTheHeader) {
+  const std::string path =
+      write_trace_file("sized", "# n=10\n+0:1 +1:2\n\n-0:1\n");
+  std::string error;
+  const auto session = harness::open_trace_replay(path, {}, &error);
+  ASSERT_TRUE(session.has_value()) << error;
+  EXPECT_EQ(session->nodes(), 10u);  // idle top ids 3..9 included
+}
+
+TEST(TraceReplayTest, RefusesACorruptHeader) {
+  const std::string path = write_trace_file("corrupt", "# n=banana\n+0:1\n");
+  EXPECT_NE(replay_error(path).find("corrupt trace header '# n=banana'"),
+            std::string::npos);
+  const std::string zero = write_trace_file("zero", "# n=0\n+0:1\n");
+  EXPECT_NE(replay_error(zero).find("corrupt trace header"),
+            std::string::npos);
+}
+
+TEST(TraceReplayTest, RefusesAnNFlagThatDisagreesWithTheHeader) {
+  const std::string path = write_trace_file("mismatch", "# n=8\n+0:1\n");
+  EXPECT_NE(replay_error(path, 9).find("recorded at n=8 but --n 9"),
+            std::string::npos);
+  EXPECT_EQ(replay_error(path, 8), "");  // agreeing is fine
+}
+
+TEST(TraceReplayTest, RefusesANodeIdBeyondTheHeader) {
+  const std::string path = write_trace_file("beyond", "# n=4\n+0:1\n+2:7\n");
+  EXPECT_NE(replay_error(path).find("reference node 7 but the header says "
+                                    "n=4"),
+            std::string::npos);
 }
 
 // ----------------------------------------------- Remark 2 pattern query ----

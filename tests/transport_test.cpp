@@ -483,7 +483,6 @@ TEST(ChaosEquivalence, RecordedTraceBytesIdenticalUnderChaos) {
     opts.scenario = "multi-community-churn";
     opts.quick = true;
     opts.record = true;
-    opts.sim.track_prev_graph = false;
     opts.sim.faults = plan;
     std::string error;
     auto session = detect::Session::open(std::move(opts), &error);

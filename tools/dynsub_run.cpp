@@ -19,17 +19,14 @@
 // components by hand.  The JSON summary is produced without wall-clock
 // timing, so a recorded run and its replay emit byte-identical "summary"
 // objects -- which is exactly what the CI scenario-smoke job asserts.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "common/format.hpp"
 #include "detect/registry.hpp"
@@ -37,10 +34,10 @@
 #include "harness/engine_flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
+#include "harness/trace_replay.hpp"
 #include "net/faults.hpp"
 #include "net/metrics.hpp"
 #include "net/trace.hpp"
-#include "net/workload.hpp"
 #include "scenario/registry.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/recorder.hpp"
@@ -285,17 +282,6 @@ int list_registry(bool names_only) {
   return 0;
 }
 
-std::size_t max_node_in(
-    const std::vector<std::vector<EdgeEvent>>& rounds) {
-  std::size_t max_id = 0;
-  for (const auto& batch : rounds) {
-    for (const auto& ev : batch) {
-      max_id = std::max<std::size_t>(max_id, ev.edge.hi());
-    }
-  }
-  return max_id;
-}
-
 int run(const Options& o) {
   // The recorder outlives the Session (the simulator holds a raw pointer
   // to it).  Timing + raw spans only when a Chrome trace was asked for;
@@ -315,9 +301,7 @@ int run(const Options& o) {
   sopts.quick = o.quick;
   sopts.max_rounds = o.max_rounds;
   sopts.record = !o.record_path.empty();
-  sopts.sim = {.enforce_bandwidth = true,
-               .track_prev_graph = false,
-               .sparse_rounds = true,
+  sopts.sim = {.sparse_rounds = true,
                .collect_phase_timings = false,
                .threads = o.threads,
                .shards = o.shards,
@@ -339,72 +323,8 @@ int run(const Options& o) {
   std::string spec_label;
 
   if (!o.replay_path.empty()) {
-    std::ifstream in(o.replay_path);
-    if (!in) {
-      std::fprintf(stderr, "dynsub_run: cannot open trace '%s'\n",
-                   o.replay_path.c_str());
-      return 1;
-    }
-    std::stringstream buffered;
-    buffered << in.rdbuf();
-    const std::string text = buffered.str();
-    // Traces recorded by this tool carry "# n=<count>" in the header so a
-    // replay reproduces the exact simulator size (idle top ids included)
-    // without the user re-supplying --n -- the record/replay byte-equality
-    // contract depends on it.  A header that disagrees with the trace body
-    // or with the CLI flags means the replay would silently simulate
-    // something other than what was recorded, so every mismatch is a hard
-    // error, not a best-effort fallback.
-    std::size_t header_n = 0;
-    {
-      std::istringstream lines(text);
-      std::string line;
-      while (std::getline(lines, line) && !line.empty() && line[0] == '#') {
-        if (line.rfind("# n=", 0) == 0) {
-          const auto v = parse_u64(line.substr(4));
-          if (!v || *v == 0) {
-            std::fprintf(stderr,
-                         "dynsub_run: %s: corrupt trace header '%s' (want "
-                         "'# n=<count>')\n",
-                         o.replay_path.c_str(), line.c_str());
-            return 1;
-          }
-          header_n = static_cast<std::size_t>(*v);
-        }
-      }
-    }
-    if (o.n != 0 && header_n != 0 && o.n != header_n) {
-      std::fprintf(stderr,
-                   "dynsub_run: %s was recorded at n=%zu but --n %zu was "
-                   "given; a mismatched size changes the simulation "
-                   "(bandwidth budget, summary), so replay refuses.  Drop "
-                   "--n or re-record.\n",
-                   o.replay_path.c_str(), header_n, o.n);
-      return 1;
-    }
-    std::istringstream trace_in(text);
-    const auto rounds = net::read_trace(trace_in, &error);
-    if (!rounds) {
-      std::fprintf(stderr, "dynsub_run: %s: %s\n", o.replay_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    const std::size_t max_id_plus_1 = max_node_in(*rounds) + 1;
-    if (header_n != 0 && max_id_plus_1 > header_n) {
-      std::fprintf(stderr,
-                   "dynsub_run: %s: trace events reference node %zu but the "
-                   "header says n=%zu; the trace is corrupt or "
-                   "hand-edited.\n",
-                   o.replay_path.c_str(), max_id_plus_1 - 1, header_n);
-      return 1;
-    }
-    // Trace node ids are only bounded by 32 bits; the Session's node-cap
-    // gate refuses before the simulator allocates per-node state.
-    const std::size_t trace_nodes =
-        std::max({o.n, header_n, max_id_plus_1});
-    session = detect::Session::open(
-        std::move(sopts), std::make_unique<net::ScriptedWorkload>(*rounds),
-        trace_nodes, &error);
+    session = harness::open_trace_replay(o.replay_path, std::move(sopts),
+                                         &error);
     spec_label = "replay:" + o.replay_path;
   } else {
     sopts.scenario = o.scenario;

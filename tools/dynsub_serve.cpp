@@ -32,12 +32,10 @@
 // is observable.  Under --faults chaos plans, queries at degraded nodes
 // answer kInconsistent until the network re-converges -- same run, same
 // stream, no special mode.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -51,9 +49,9 @@
 #include "harness/engine_flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
+#include "harness/trace_replay.hpp"
 #include "net/faults.hpp"
 #include "net/trace.hpp"
-#include "net/workload.hpp"
 #include "serve/clock.hpp"
 #include "serve/export.hpp"
 #include "serve/loop.hpp"
@@ -265,80 +263,16 @@ std::optional<Options> parse_args(int argc, char** argv) {
   return o;
 }
 
-std::size_t max_node_in(
-    const std::vector<std::vector<EdgeEvent>>& rounds) {
-  std::size_t max_id = 0;
-  for (const auto& batch : rounds) {
-    for (const auto& ev : batch) {
-      max_id = std::max<std::size_t>(max_id, ev.edge.hi());
-    }
-  }
-  return max_id;
-}
-
-/// Builds the Session the same way dynsub_run does: scenario spec, or
-/// strict trace replay with the "# n=" header validated against the trace
-/// body and the CLI flags (a mismatched size would silently change the
-/// simulation, so every mismatch refuses).
+/// Builds the Session the same way dynsub_run does: a scenario spec, or a
+/// strict trace replay (harness/trace_replay.hpp).
 std::optional<detect::Session> open_session(const Options& o,
                                             detect::SessionOptions sopts,
                                             std::string* spec_label) {
   std::string error;
   std::optional<detect::Session> session;
   if (!o.replay_path.empty()) {
-    std::ifstream in(o.replay_path);
-    if (!in) {
-      std::fprintf(stderr, "dynsub_serve: cannot open trace '%s'\n",
-                   o.replay_path.c_str());
-      return std::nullopt;
-    }
-    std::stringstream buffered;
-    buffered << in.rdbuf();
-    const std::string text = buffered.str();
-    std::size_t header_n = 0;
-    {
-      std::istringstream lines(text);
-      std::string line;
-      while (std::getline(lines, line) && !line.empty() && line[0] == '#') {
-        if (line.rfind("# n=", 0) == 0) {
-          const auto v = parse_u64(line.substr(4));
-          if (!v || *v == 0) {
-            std::fprintf(stderr,
-                         "dynsub_serve: %s: corrupt trace header '%s' "
-                         "(want '# n=<count>')\n",
-                         o.replay_path.c_str(), line.c_str());
-            return std::nullopt;
-          }
-          header_n = static_cast<std::size_t>(*v);
-        }
-      }
-    }
-    if (o.n != 0 && header_n != 0 && o.n != header_n) {
-      std::fprintf(stderr,
-                   "dynsub_serve: %s was recorded at n=%zu but --n %zu was "
-                   "given; replay refuses a mismatched size.\n",
-                   o.replay_path.c_str(), header_n, o.n);
-      return std::nullopt;
-    }
-    std::istringstream trace_in(text);
-    const auto rounds = net::read_trace(trace_in, &error);
-    if (!rounds) {
-      std::fprintf(stderr, "dynsub_serve: %s: %s\n", o.replay_path.c_str(),
-                   error.c_str());
-      return std::nullopt;
-    }
-    const std::size_t max_id_plus_1 = max_node_in(*rounds) + 1;
-    if (header_n != 0 && max_id_plus_1 > header_n) {
-      std::fprintf(stderr,
-                   "dynsub_serve: %s: trace events reference node %zu but "
-                   "the header says n=%zu; the trace is corrupt.\n",
-                   o.replay_path.c_str(), max_id_plus_1 - 1, header_n);
-      return std::nullopt;
-    }
-    const std::size_t trace_nodes = std::max({o.n, header_n, max_id_plus_1});
-    session = detect::Session::open(
-        std::move(sopts), std::make_unique<net::ScriptedWorkload>(*rounds),
-        trace_nodes, &error);
+    session = harness::open_trace_replay(o.replay_path, std::move(sopts),
+                                         &error);
     *spec_label = "replay:" + o.replay_path;
   } else {
     sopts.scenario = o.scenario;
@@ -406,9 +340,7 @@ int run(const Options& o) {
   sopts.quick = o.quick;
   sopts.max_rounds = o.max_rounds;
   sopts.record = !o.record_path.empty();
-  sopts.sim = {.enforce_bandwidth = true,
-               .track_prev_graph = false,
-               .sparse_rounds = true,
+  sopts.sim = {.sparse_rounds = true,
                .collect_phase_timings = false,
                .threads = o.threads,
                .shards = o.shards,

@@ -393,6 +393,33 @@ if count == 0:
 print(f"serve JSONL schema ok ({count} answer records)")
 EOF
 
+  # Every detector answers every verb: a query, a list and an audit each
+  # get one answer line (a shape the detector does not serve answers
+  # inconsistent with a reason), and no request may crash the daemon --
+  # the robust 3-hop audits read G_{i-1}.
+  printf '@3 query 0 edge 0:1\n@5 list 0 triangle\n@8 audit\n' \
+    > "$TMP/verbs.script"
+  vcount=0
+  while IFS= read -r detector; do
+    [[ -n "$detector" ]] || continue
+    "$SERVE" --scenario 'churn(n=16, rounds=10, seed=1)' \
+      --detector "$detector" --requests "$TMP/verbs.script" \
+      --answers "$TMP/ans_verbs.txt" 2> "$TMP/serve_verbs.err" || {
+      echo "scenario_smoke.sh: dynsub_serve failed on detector '$detector'" >&2
+      cat "$TMP/serve_verbs.err" >&2
+      exit 1
+    }
+    answered=$(grep -c '^req=' "$TMP/ans_verbs.txt" || true)
+    if [[ "$answered" -ne 3 ]]; then
+      echo "scenario_smoke.sh: detector '$detector' gave $answered answer" \
+        "line(s), want 3" >&2
+      cat "$TMP/ans_verbs.txt" >&2
+      exit 1
+    fi
+    vcount=$((vcount + 1))
+  done < <("$BIN" --list-detectors)
+  echo "query, list and audit answered under all $vcount detector(s)"
+
   # Chaos leg: a lane outage mid-run must surface as kInconsistent answers
   # at the degraded nodes (the model's honest "cannot say"), and the same
   # nodes must answer definitively once the network re-converges.
