@@ -53,7 +53,7 @@ Outcome run(std::size_t deg, bool paper_literal, std::size_t flickers) {
   const std::size_t n = 3 + deg;
   core::Robust3HopNode::Options opts;
   opts.paper_literal_l2_forward = paper_literal;
-  net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>(opts),
+  net::Simulator sim(n, net::store_of<core::Robust3HopNode>(opts),
                      {.collect_phase_timings = true});
   net::ScriptedWorkload wl(star_script(deg, flickers));
   Outcome out;

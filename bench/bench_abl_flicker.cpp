@@ -27,7 +27,7 @@ struct Outcome {
 template <typename NodeT>
 Outcome run(std::size_t repeats) {
   const auto scenario = dynamics::make_repeated_flicker_scenario(8, repeats);
-  net::Simulator sim(8, bench::factory_of<NodeT>(),
+  net::Simulator sim(8, net::store_of<NodeT>(),
                      {.collect_phase_timings = true});
   net::ScriptedWorkload wl(scenario.script);
   Outcome out;

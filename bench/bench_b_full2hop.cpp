@@ -53,14 +53,14 @@ int main(int argc, char** argv) {
       auto wl = make_churn(n, toggles);
       full.points[i] = {static_cast<double>(n),
                         bench::run_experiment(
-                            n, bench::factory_of<baseline::FullTwoHopNode>(), wl)
+                            n, net::store_of<baseline::FullTwoHopNode>(), wl)
                             .amortized};
     }
     {
       auto wl = make_churn(n, toggles);
       robust.points[i] = {static_cast<double>(n),
                           bench::run_experiment(
-                              n, bench::factory_of<core::Robust2HopNode>(), wl)
+                              n, net::store_of<core::Robust2HopNode>(), wl)
                               .amortized};
     }
     bound.points[i] = {static_cast<double>(n),

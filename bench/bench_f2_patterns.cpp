@@ -39,7 +39,7 @@ std::unique_ptr<net::Simulator> run_churn(std::size_t n,
                                           std::uint64_t seed,
                                           std::size_t rounds) {
   auto sim = std::make_unique<net::Simulator>(
-      n, bench::factory_of<NodeT>(),
+      n, net::store_of<NodeT>(),
       net::SimulatorConfig{.collect_phase_timings = true});
   dynamics::RandomChurnParams cp;
   cp.n = n;

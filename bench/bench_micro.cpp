@@ -28,9 +28,7 @@ namespace {
 template <typename NodeT>
 void run_rounds(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  net::Simulator sim(
-      n,
-      [](NodeId v, std::size_t nn) { return std::make_unique<NodeT>(v, nn); });
+  net::Simulator sim(n, net::store_of<NodeT>());
   dynamics::RandomChurnParams cp;
   cp.n = n;
   cp.target_edges = 2 * n;
@@ -68,12 +66,8 @@ BENCHMARK(BM_Round_Robust3Hop)->Arg(64)->Arg(256)->Arg(512);
 /// reference mode (sparse = 0) shows the seed engine's Theta(n) growth.
 void quiescent_round(benchmark::State& state, bool sparse) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  net::Simulator sim(
-      n,
-      [](NodeId v, std::size_t nn) {
-        return std::make_unique<core::Robust2HopNode>(v, nn);
-      },
-      {.sparse_rounds = sparse});
+  net::Simulator sim(n, net::store_of<core::Robust2HopNode>(),
+                     {.sparse_rounds = sparse});
   // A little topology plus a full drain, so quiescence is the steady
   // state of a real network, not the empty-graph special case.
   std::vector<EdgeEvent> ring;

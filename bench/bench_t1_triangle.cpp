@@ -24,7 +24,7 @@ double random_churn_run(std::size_t n, std::size_t rounds) {
   cp.rounds = rounds;
   cp.seed = 0x71A5 + n;
   dynamics::RandomChurnWorkload wl(cp);
-  return bench::run_experiment(n, bench::factory_of<core::TriangleNode>(), wl)
+  return bench::run_experiment(n, net::store_of<core::TriangleNode>(), wl)
       .amortized;
 }
 
@@ -38,14 +38,14 @@ double session_churn_run(std::size_t n, std::size_t rounds) {
   sp.rounds = rounds;
   sp.seed = 0x5E55 + n;
   dynamics::SessionChurnWorkload wl(sp);
-  return bench::run_experiment(n, bench::factory_of<core::TriangleNode>(), wl)
+  return bench::run_experiment(n, net::store_of<core::TriangleNode>(), wl)
       .amortized;
 }
 
 double flicker_run(std::size_t n, std::size_t repeats) {
   const auto scenario = dynamics::make_repeated_flicker_scenario(n, repeats);
   net::ScriptedWorkload wl(scenario.script);
-  return bench::run_experiment(n, bench::factory_of<core::TriangleNode>(), wl)
+  return bench::run_experiment(n, net::store_of<core::TriangleNode>(), wl)
       .amortized;
 }
 

@@ -56,13 +56,13 @@ int main(int argc, char** argv) {
     const std::size_t t = kTs[i];
     const double n = static_cast<double>(t) + 2;
     p3.points[i] = {n, adversary_run(dynamics::pattern_p3(), t,
-                                     bench::factory_of<baseline::FullTwoHopNode>())};
+                                     net::store_of<baseline::FullTwoHopNode>())};
     diamond.points[i] = {n, adversary_run(dynamics::pattern_diamond(), t,
-                                          bench::factory_of<baseline::FloodKHopNode>(2))};
+                                          net::store_of<baseline::FloodKHopNode>(2))};
     c4.points[i] = {n, adversary_run(dynamics::pattern_c4(), t,
-                                     bench::factory_of<baseline::FloodKHopNode>(2))};
+                                     net::store_of<baseline::FloodKHopNode>(2))};
     k3.points[i] = {n, adversary_run(dynamics::pattern_p3(), t,
-                                     bench::factory_of<core::TriangleNode>())};
+                                     net::store_of<core::TriangleNode>())};
     bound.points[i] = {n, n / std::log2(n)};
   });
 

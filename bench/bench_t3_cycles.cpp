@@ -33,7 +33,7 @@ Cell run(std::size_t n, std::size_t k, std::size_t rounds) {
   pp.rounds = rounds;
   pp.seed = 0x4C + n * 13 + k;
   dynamics::PlantedCycleWorkload wl(pp);
-  net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>(),
+  net::Simulator sim(n, net::store_of<core::Robust3HopNode>(),
                      {.collect_phase_timings = true});
   bench::run_timed(sim, wl, 1000000);
   Cell cell;

@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
   harness::parallel_for(count, [&](std::size_t i) {
     const std::size_t d = kDs[i];
     const double n = static_cast<double>((d + 2) * (d + 2));
-    flood.points[i] = {n, run(d, bench::factory_of<baseline::FloodKHopNode>(3))};
-    robust.points[i] = {n, run(d, bench::factory_of<core::Robust3HopNode>())};
+    flood.points[i] = {n, run(d, net::store_of<baseline::FloodKHopNode>(3))};
+    robust.points[i] = {n, run(d, net::store_of<core::Robust3HopNode>())};
     bound.points[i] = {n, std::sqrt(n) / std::log2(n)};
   });
   bench.report("n", {flood, robust, bound});

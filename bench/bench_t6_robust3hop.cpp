@@ -30,7 +30,7 @@ Cell run_random(std::size_t n, std::size_t rounds) {
   cp.rounds = rounds;
   cp.seed = 0x36 + n;
   dynamics::RandomChurnWorkload wl(cp);
-  net::Simulator sim(n, bench::factory_of<core::Robust3HopNode>());
+  net::Simulator sim(n, net::store_of<core::Robust3HopNode>());
   Cell cell;
   std::size_t steps = 0;
   while (steps < 1000000 && !(wl.finished() && sim.all_consistent())) {
@@ -61,7 +61,7 @@ double run_session(std::size_t n, std::size_t rounds) {
   sp.rounds = rounds;
   sp.seed = 0x3E55 + n;
   dynamics::SessionChurnWorkload wl(sp);
-  return bench::run_experiment(n, bench::factory_of<core::Robust3HopNode>(),
+  return bench::run_experiment(n, net::store_of<core::Robust3HopNode>(),
                                wl)
       .amortized;
 }

@@ -27,7 +27,7 @@ Cell run_random(std::size_t n, std::size_t rounds) {
   cp.seed = 0x27 + n;
   dynamics::RandomChurnWorkload wl(cp);
   const auto s = bench::run_experiment(
-      n, bench::factory_of<core::Robust2HopNode>(), wl);
+      n, net::store_of<core::Robust2HopNode>(), wl);
   Cell cell;
   cell.amortized = s.amortized;
   cell.bits_per_message =
@@ -47,7 +47,7 @@ double run_session(std::size_t n, std::size_t rounds) {
   sp.rounds = rounds;
   sp.seed = 0x2E55 + n;
   dynamics::SessionChurnWorkload wl(sp);
-  return bench::run_experiment(n, bench::factory_of<core::Robust2HopNode>(),
+  return bench::run_experiment(n, net::store_of<core::Robust2HopNode>(),
                                wl)
       .amortized;
 }

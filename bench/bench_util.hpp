@@ -455,13 +455,6 @@ inline net::NodeFactory detector_factory_or_die(const std::string& spec) {
   return build_detector_or_die(spec)->factory();
 }
 
-template <typename NodeT, typename... Extra>
-net::NodeFactory factory_of(Extra... extra) {
-  return [extra...](NodeId v, std::size_t n) {
-    return std::make_unique<NodeT>(v, n, extra...);
-  };
-}
-
 inline void Bench::print_block_header_impl(const std::string& exp_id,
                                            const std::string& artifact,
                                            const std::string& claim) {

@@ -34,12 +34,8 @@ const char* show(net::Answer a) {
 
 int main() {
   const auto scenario = dynamics::make_flicker_scenario(8);
-  net::Simulator naive_sim(8, [](NodeId v, std::size_t n) {
-    return std::make_unique<baseline::NaiveTwoHopNode>(v, n);
-  });
-  net::Simulator robust_sim(8, [](NodeId v, std::size_t n) {
-    return std::make_unique<core::Robust2HopNode>(v, n);
-  });
+  net::Simulator naive_sim(8, net::store_of<baseline::NaiveTwoHopNode>());
+  net::Simulator robust_sim(8, net::store_of<core::Robust2HopNode>());
 
   std::printf("Section 1.3 flicker attack on the triangle {%u,%u,%u}; the\n",
               scenario.victim, scenario.u, scenario.w);

@@ -25,9 +25,7 @@ int main(int argc, char** argv) {
   const std::size_t rounds =
       argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 600;
 
-  net::Simulator sim(peers, [](NodeId v, std::size_t n) {
-    return std::make_unique<core::TriangleNode>(v, n);
-  });
+  net::Simulator sim(peers, net::store_of<core::TriangleNode>());
 
   dynamics::SessionChurnParams sp;
   sp.n = peers;

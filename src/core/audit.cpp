@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/check.hpp"
 #include "core/robust2hop.hpp"
 #include "core/robust3hop.hpp"
 #include "core/triangle.hpp"
@@ -38,12 +37,12 @@ FlatSet<Edge> keys_of(const FlatMap<Edge, Timestamp>& m) {
 }  // namespace
 
 std::optional<std::string> audit_robust2hop(const net::Simulator& sim) {
+  const auto nodes =
+      sim.store().as<Robust2HopNode>("audit_robust2hop: wrong node type");
   for (NodeId v = 0; v < sim.node_count(); ++v) {
     if (!sim.consistency()[v]) continue;
-    const auto* node = dynamic_cast<const Robust2HopNode*>(&sim.node(v));
-    DYNSUB_CHECK_MSG(node != nullptr, "audit_robust2hop: wrong node type");
     const FlatSet<Edge> expected = oracle::robust_2hop(sim.graph(), v);
-    const FlatSet<Edge> actual = keys_of(node->known_edges());
+    const FlatSet<Edge> actual = keys_of(nodes[v].known_edges());
     if (!(expected == actual)) {
       std::ostringstream os;
       os << "round " << sim.round() << " node " << v
@@ -55,13 +54,13 @@ std::optional<std::string> audit_robust2hop(const net::Simulator& sim) {
 }
 
 std::optional<std::string> audit_triangle(const net::Simulator& sim) {
+  const auto nodes =
+      sim.store().as<TriangleNode>("audit_triangle: wrong node type");
   for (NodeId v = 0; v < sim.node_count(); ++v) {
     if (!sim.consistency()[v]) continue;
-    const auto* node = dynamic_cast<const TriangleNode*>(&sim.node(v));
-    DYNSUB_CHECK_MSG(node != nullptr, "audit_triangle: wrong node type");
     const FlatSet<Edge> expected =
         oracle::triangle_pattern_set(sim.graph(), v);
-    const FlatSet<Edge> actual = keys_of(node->known_edges());
+    const FlatSet<Edge> actual = keys_of(nodes[v].known_edges());
     if (!(expected == actual)) {
       std::ostringstream os;
       os << "round " << sim.round() << " node " << v
@@ -69,7 +68,7 @@ std::optional<std::string> audit_triangle(const net::Simulator& sim) {
       return os.str();
     }
     // Membership listing: the triangles v reports are exactly the oracle's.
-    const auto listed = node->list_triangles();
+    const auto listed = nodes[v].list_triangles();
     const auto truth = oracle::triangles_through(sim.graph(), v);
     if (listed != truth) {
       std::ostringstream os;
@@ -83,11 +82,11 @@ std::optional<std::string> audit_triangle(const net::Simulator& sim) {
 }
 
 std::optional<std::string> audit_cliques(const net::Simulator& sim, int k) {
+  const auto nodes =
+      sim.store().as<TriangleNode>("audit_cliques: wrong node type");
   for (NodeId v = 0; v < sim.node_count(); ++v) {
     if (!sim.consistency()[v]) continue;
-    const auto* node = dynamic_cast<const TriangleNode*>(&sim.node(v));
-    DYNSUB_CHECK_MSG(node != nullptr, "audit_cliques: wrong node type");
-    auto listed = node->list_cliques(k);
+    auto listed = nodes[v].list_cliques(k);
     auto truth = oracle::cliques_through(sim.graph(), v, k);
     std::sort(listed.begin(), listed.end());
     std::sort(truth.begin(), truth.end());
@@ -102,14 +101,17 @@ std::optional<std::string> audit_cliques(const net::Simulator& sim, int k) {
   return std::nullopt;
 }
 
-std::optional<std::string> audit_robust3hop(const net::Simulator& sim) {
+namespace {
+
+// Thm 6 against G_i and gp = G_{i-1}.
+std::optional<std::string> robust3hop_against(
+    const net::Simulator& sim, const oracle::TimestampedGraph& gp) {
   const auto& g = sim.graph();
-  const oracle::TimestampedGraph gp = sim.prev_graph();
+  const auto nodes =
+      sim.store().as<Robust3HopNode>("audit_robust3hop: wrong node type");
   for (NodeId v = 0; v < sim.node_count(); ++v) {
     if (!sim.consistency()[v]) continue;
-    const auto* node = dynamic_cast<const Robust3HopNode*>(&sim.node(v));
-    DYNSUB_CHECK_MSG(node != nullptr, "audit_robust3hop: wrong node type");
-    const FlatSet<Edge> actual = node->known_edges();
+    const FlatSet<Edge> actual = nodes[v].known_edges();
 
     // Lower bound: R^{v,2}_i  u  (R^{v,3}_{i-1} \ R^{v,2}_{i-1}).
     FlatSet<Edge> lower = oracle::robust_2hop(g, v);
@@ -150,17 +152,18 @@ std::optional<std::string> audit_robust3hop(const net::Simulator& sim) {
   return std::nullopt;
 }
 
-std::optional<std::string> audit_cycle_listing(const net::Simulator& sim) {
-  const oracle::TimestampedGraph gp = sim.prev_graph();
+// Thm 5 against gp = G_{i-1}.
+std::optional<std::string> cycle_listing_against(
+    const net::Simulator& sim, const oracle::TimestampedGraph& gp) {
+  const auto nodes =
+      sim.store().as<Robust3HopNode>("audit_cycle_listing: wrong node type");
 
   // Soundness: a consistent node's true answer implies the cycle in G_{i-1}.
   const auto truth4 = oracle::all_4_cycles(gp);
   const auto truth5 = oracle::all_5_cycles(gp);
   for (NodeId v = 0; v < sim.node_count(); ++v) {
     if (!sim.consistency()[v]) continue;
-    const auto* node = dynamic_cast<const Robust3HopNode*>(&sim.node(v));
-    DYNSUB_CHECK_MSG(node != nullptr, "audit_cycle_listing: wrong node type");
-    for (const auto& c : node->list_4cycles()) {
+    for (const auto& c : nodes[v].list_4cycles()) {
       if (!std::binary_search(truth4.begin(), truth4.end(), c)) {
         std::ostringstream os;
         os << "round " << sim.round() << " node " << v
@@ -169,7 +172,7 @@ std::optional<std::string> audit_cycle_listing(const net::Simulator& sim) {
         return os.str();
       }
     }
-    for (const auto& c : node->list_5cycles()) {
+    for (const auto& c : nodes[v].list_5cycles()) {
       if (!std::binary_search(truth5.begin(), truth5.end(), c)) {
         std::ostringstream os;
         os << "round " << sim.round() << " node " << v
@@ -187,8 +190,7 @@ std::optional<std::string> audit_cycle_listing(const net::Simulator& sim) {
     if (!all_consistent) continue;
     bool reported = false;
     for (NodeId x : c.v) {
-      const auto* node = dynamic_cast<const Robust3HopNode*>(&sim.node(x));
-      if (node->query_cycle(std::span<const NodeId>(c.v.data(), 4)) ==
+      if (nodes[x].query_cycle(std::span<const NodeId>(c.v.data(), 4)) ==
           net::Answer::kTrue) {
         reported = true;
         break;
@@ -208,8 +210,7 @@ std::optional<std::string> audit_cycle_listing(const net::Simulator& sim) {
     if (!all_consistent) continue;
     bool reported = false;
     for (NodeId x : c.v) {
-      const auto* node = dynamic_cast<const Robust3HopNode*>(&sim.node(x));
-      if (node->query_cycle(std::span<const NodeId>(c.v.data(), 5)) ==
+      if (nodes[x].query_cycle(std::span<const NodeId>(c.v.data(), 5)) ==
           net::Answer::kTrue) {
         reported = true;
         break;
@@ -224,6 +225,23 @@ std::optional<std::string> audit_cycle_listing(const net::Simulator& sim) {
     }
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::string> audit_robust3hop(const net::Simulator& sim) {
+  return robust3hop_against(sim, sim.prev_graph());
+}
+
+std::optional<std::string> audit_cycle_listing(const net::Simulator& sim) {
+  return cycle_listing_against(sim, sim.prev_graph());
+}
+
+std::optional<std::string> audit_robust3hop_and_cycles(
+    const net::Simulator& sim) {
+  const oracle::TimestampedGraph prev = sim.prev_graph();
+  if (auto bad = robust3hop_against(sim, prev)) return bad;
+  return cycle_listing_against(sim, prev);
 }
 
 }  // namespace dynsub::core

@@ -41,10 +41,17 @@ namespace dynsub::core {
 [[nodiscard]] std::optional<std::string> audit_cliques(
     const net::Simulator& sim, int k);
 
+// Each G_{i-1} audit rebuilds G_{i-1} (sim.prev_graph(), an O(n + E)
+// copy); audit_robust3hop_and_cycles runs both against one rebuild.
+
 [[nodiscard]] std::optional<std::string> audit_robust3hop(
     const net::Simulator& sim);
 
 [[nodiscard]] std::optional<std::string> audit_cycle_listing(
+    const net::Simulator& sim);
+
+/// audit_robust3hop, then audit_cycle_listing, against one G_{i-1}.
+[[nodiscard]] std::optional<std::string> audit_robust3hop_and_cycles(
     const net::Simulator& sim);
 
 }  // namespace dynsub::core

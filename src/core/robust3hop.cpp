@@ -152,13 +152,15 @@ void Robust3HopNode::react_and_send(const net::NodeContext& ctx,
     if (item.type == Pending::Type::kInsertPath) {
       std::array<NodeId, 3> wire{v, item.a[0], item.a[1]};
       const std::size_t verts = 1 + item.len_or_ell;
-      for (NodeId u : view_.neighbors()) {
+      for (const auto& [u, t_vu] : view_.incident()) {
+        (void)t_vu;
         out.send(u, net::WireMessage::path_insert(
                         std::span<const NodeId>(wire.data(), verts)));
       }
     } else {
       const Edge e(item.a[0], item.a[1]);
-      for (NodeId u : view_.neighbors()) {
+      for (const auto& [u, t_vu] : view_.incident()) {
+        (void)t_vu;
         out.send(u,
                  net::WireMessage::path_delete(e, item.len_or_ell, item.via));
       }

@@ -29,6 +29,7 @@
 //         receive half of the very round whose flags v has already seen).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/fifo.hpp"
@@ -42,7 +43,7 @@ namespace dynsub::core {
 
 class TriangleNode final : public net::NodeProgram {
  public:
-  explicit TriangleNode(NodeId self, std::size_t n) : view_(self) { (void)n; }
+  explicit TriangleNode(NodeId self, std::size_t n) : self_(self) { (void)n; }
 
   void react_and_send(const net::NodeContext& ctx,
                       std::span<const EdgeEvent> events,
@@ -52,7 +53,7 @@ class TriangleNode final : public net::NodeProgram {
 
   [[nodiscard]] bool consistent() const override { return consistent_; }
   [[nodiscard]] std::size_t queue_length() const override {
-    return queue_.size();
+    return state_ != nullptr ? state_->queue.size() : 0;
   }
 
   /// Membership query: does {self, u, w} form a triangle right now?
@@ -78,8 +79,6 @@ class TriangleNode final : public net::NodeProgram {
   /// S_v (== T^{v,2}_i whenever consistent); for audits.
   [[nodiscard]] FlatMap<Edge, Timestamp> known_edges() const;
 
-  [[nodiscard]] const net::LocalView& local_view() const { return view_; }
-
  private:
   struct Pending {
     enum class Type : std::uint8_t { kMarkA, kMarkB };
@@ -91,16 +90,34 @@ class TriangleNode final : public net::NodeProgram {
     friend bool operator==(const Pending&, const Pending&) = default;
   };
 
-  void enqueue_unique(const Pending& p);
-  void maybe_enqueue_hint(NodeId a, NodeId b, Timestamp t_prime);
+  /// Everything but the id and the flags.  Created at the node's first
+  /// incident event or payload and never freed: a node that keeps losing
+  /// and regaining its only edge would otherwise allocate on every regain.
+  struct State {
+    explicit State(NodeId self) : view(self) {}
+
+    void enqueue_unique(const Pending& p);
+    void maybe_enqueue_hint(NodeId a, NodeId b, Timestamp t_prime);
+
+    net::LocalView view;
+    EdgeKnowledge knowledge;
+    Fifo<Pending> queue;  // Q_v
+  };
+
+  /// The node's State, or an empty one shared by every idle node, so an
+  /// idle node answers every query exactly as an empty State would.
+  [[nodiscard]] const State& state() const;
+  /// The node's State, created on first use.
+  [[nodiscard]] State& own_state();
   [[nodiscard]] bool knows_edge(Edge e) const;
 
-  net::LocalView view_;
-  EdgeKnowledge knowledge_;
-  Fifo<Pending> queue_;  // Q_v
+  // An idle node is these 24 bytes: the vtable pointer, the id and the
+  // flags (which share one word), and a null State.
+  NodeId self_;
   bool consistent_ = true;
   bool busy_at_send_ = false;
   bool quiet_prev_ = true;  // quiet(i-1), for the two-round rule (D2)
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace dynsub::core

@@ -10,7 +10,7 @@
 //
 //   * structured metadata (name, problem kind, supported query shapes,
 //     typed parameters such as clique-k baked in at build time),
-//   * a NodeFactory for net::Simulator,
+//   * a NodeFactory for net::Simulator (it builds the node store),
 //   * query(sim, v, Query): a Query variant answered with the paper's
 //     three-valued net::Answer -- kInconsistent is never coerced,
 //   * list(sim, v, QueryKind): the membership-listing side, returning
@@ -131,7 +131,8 @@ class Detector {
 
   [[nodiscard]] virtual const DetectorInfo& info() const = 0;
 
-  /// Fresh node programs for net::Simulator (one call per simulator).
+  /// Builds a fresh node store for net::Simulator: all n programs of the
+  /// concrete type, in one allocation (one call per simulator).
   [[nodiscard]] virtual net::NodeFactory factory() const = 0;
 
   /// Uniform membership query at node v: a zero-communication const read.

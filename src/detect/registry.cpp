@@ -21,15 +21,13 @@ using scenario::SpecNode;
 
 // ------------------------------------------------------- adapter helpers ----
 
-/// Downcasts a simulator node to the concrete program this detector
-/// created.  A mismatch means the simulator was built by a different
-/// detector's factory -- a caller bug, not a runtime state.
+/// Node v as the concrete program this detector's factory stores.  A
+/// mismatch means the simulator was built by a different detector's
+/// factory -- a caller bug, not a runtime state.
 template <typename NodeT>
 const NodeT& node_as(const net::Simulator& sim, NodeId v) {
-  const auto* node = dynamic_cast<const NodeT*>(&sim.node(v));
-  DYNSUB_CHECK_MSG(node != nullptr,
-                   "detector query on a simulator built by another factory");
-  return *node;
+  return sim.store().as<NodeT>(
+      "detector query on a simulator built by another factory")[v];
 }
 
 SubgraphTuple edge_tuple(Edge e) { return {e.lo(), e.hi()}; }
@@ -132,9 +130,7 @@ class TriangleDetector final : public DetectorBase {
   }
 
   [[nodiscard]] net::NodeFactory factory() const override {
-    return [](NodeId v, std::size_t n) -> std::unique_ptr<net::NodeProgram> {
-      return std::make_unique<core::TriangleNode>(v, n);
-    };
+    return net::store_of<core::TriangleNode>();
   }
 
   [[nodiscard]] std::optional<std::string> audit(
@@ -193,9 +189,7 @@ class Robust2HopDetector final : public DetectorBase {
   }
 
   [[nodiscard]] net::NodeFactory factory() const override {
-    return [](NodeId v, std::size_t n) -> std::unique_ptr<net::NodeProgram> {
-      return std::make_unique<core::Robust2HopNode>(v, n);
-    };
+    return net::store_of<core::Robust2HopNode>();
   }
 
   [[nodiscard]] std::optional<std::string> audit(
@@ -242,17 +236,12 @@ class Robust3HopDetector final : public DetectorBase {
   }
 
   [[nodiscard]] net::NodeFactory factory() const override {
-    const core::Robust3HopOptions options = options_;
-    return [options](NodeId v,
-                     std::size_t n) -> std::unique_ptr<net::NodeProgram> {
-      return std::make_unique<core::Robust3HopNode>(v, n, options);
-    };
+    return net::store_of<core::Robust3HopNode>(options_);
   }
 
   [[nodiscard]] std::optional<std::string> audit(
       const net::Simulator& sim) const override {
-    if (auto bad = core::audit_robust3hop(sim)) return bad;
-    return core::audit_cycle_listing(sim);
+    return core::audit_robust3hop_and_cycles(sim);
   }
 
  protected:
@@ -302,9 +291,7 @@ class Naive2HopDetector final : public DetectorBase {
   }
 
   [[nodiscard]] net::NodeFactory factory() const override {
-    return [](NodeId v, std::size_t n) -> std::unique_ptr<net::NodeProgram> {
-      return std::make_unique<baseline::NaiveTwoHopNode>(v, n);
-    };
+    return net::store_of<baseline::NaiveTwoHopNode>();
   }
 
  protected:
@@ -335,9 +322,7 @@ class Full2HopDetector final : public DetectorBase {
   }
 
   [[nodiscard]] net::NodeFactory factory() const override {
-    return [](NodeId v, std::size_t n) -> std::unique_ptr<net::NodeProgram> {
-      return std::make_unique<baseline::FullTwoHopNode>(v, n);
-    };
+    return net::store_of<baseline::FullTwoHopNode>();
   }
 
  protected:
@@ -389,11 +374,7 @@ class FloodDetector final : public DetectorBase {
   }
 
   [[nodiscard]] net::NodeFactory factory() const override {
-    const int radius = radius_;
-    return [radius](NodeId v,
-                    std::size_t n) -> std::unique_ptr<net::NodeProgram> {
-      return std::make_unique<baseline::FloodKHopNode>(v, n, radius);
-    };
+    return net::store_of<baseline::FloodKHopNode>(radius_);
   }
 
  protected:

@@ -14,11 +14,27 @@
 // Nodes know only: their id, n, the round number, their incident topology
 // events, and what arrives on their links.  The simulator enforces the
 // bandwidth budget and that messages travel only over edges of G_i.
+//
+// Storage: a NodeStore holds all n programs of one simulator, and
+// TypedNodeStore<T> keeps them by value in one std::vector<T>, so building
+// a network makes O(1) allocations instead of one per node.  A program must
+// therefore be movable.  At O(1) amortized rounds almost every program is
+// idle almost all the time, so a program may keep only its id and flags
+// inline and create its heap state on first use (TriangleNode does).  A
+// detector's factory builds the store (store_of<T>), and audits and
+// queries reach the concrete programs through one checked cast per store
+// (NodeStore::as<T>).
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <memory>
 #include <span>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/edge.hpp"
 #include "common/types.hpp"
 #include "net/message.hpp"
@@ -142,5 +158,77 @@ class NodeProgram {
     return queue_length() > 0 || !consistent();
   }
 };
+
+template <typename T>
+class TypedNodeStore;
+
+/// All n programs of one simulator, indexed by node id.
+class NodeStore {
+ public:
+  explicit NodeStore(std::size_t n) : size_(n) {}
+  virtual ~NodeStore() = default;
+  NodeStore(const NodeStore&) = delete;
+  NodeStore& operator=(const NodeStore&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// Program v: one virtual call, so the engine takes it once per node
+  /// step.
+  [[nodiscard]] virtual NodeProgram& at(NodeId v) = 0;
+  [[nodiscard]] virtual const NodeProgram& at(NodeId v) const = 0;
+
+  /// Every program as its concrete type T, indexed by node id: one checked
+  /// cast for the whole store.  Aborts with `what` when the store holds
+  /// another type (a simulator built by a different factory).
+  template <typename T>
+  [[nodiscard]] std::span<const T> as(std::string_view what) const {
+    const auto* typed = dynamic_cast<const TypedNodeStore<T>*>(this);
+    DYNSUB_CHECK_MSG(typed != nullptr, what);
+    return typed->programs();
+  }
+
+ private:
+  std::size_t size_;
+};
+
+/// The store of one concrete program type: program v is T(v, n, extra...),
+/// and all n live in one vector.
+template <typename T>
+class TypedNodeStore final : public NodeStore {
+  static_assert(std::is_base_of_v<NodeProgram, T>);
+  static_assert(std::is_move_constructible_v<T>,
+                "the store keeps programs by value: a program must be "
+                "movable");
+
+ public:
+  template <typename... Extra>
+  explicit TypedNodeStore(std::size_t n, const Extra&... extra)
+      : NodeStore(n) {
+    programs_.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      programs_.emplace_back(static_cast<NodeId>(v), n, extra...);
+    }
+  }
+
+  [[nodiscard]] NodeProgram& at(NodeId v) override { return programs_[v]; }
+  [[nodiscard]] const NodeProgram& at(NodeId v) const override {
+    return programs_[v];
+  }
+  [[nodiscard]] std::span<const T> programs() const { return programs_; }
+
+ private:
+  std::vector<T> programs_;
+};
+
+/// Builds the node store of an n-node network.
+using NodeFactory = std::function<std::unique_ptr<NodeStore>(std::size_t n)>;
+
+/// NodeFactory of a program type constructible as T(v, n, extra...).
+template <typename T, typename... Extra>
+[[nodiscard]] NodeFactory store_of(Extra... extra) {
+  return [extra...](std::size_t n) -> std::unique_ptr<NodeStore> {
+    return std::make_unique<TypedNodeStore<T>>(n, extra...);
+  };
+}
 
 }  // namespace dynsub::net

@@ -37,11 +37,8 @@ Simulator::Simulator(std::size_t n, NodeFactory factory,
       degraded_(n, false) {
   DYNSUB_CHECK(n >= 1);
   metrics_.set_shards(shards_);
-  nodes_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    nodes_.push_back(factory(v, n));
-    DYNSUB_CHECK(nodes_.back() != nullptr);
-  }
+  store_ = factory(n);
+  DYNSUB_CHECK(store_ != nullptr && store_->size() == n);
   if (config_.faults.enabled) {
     transport_ = std::make_unique<ChaosTransport>(config_.faults);
   } else {
@@ -149,12 +146,12 @@ void Simulator::react_slot(std::size_t slot, Outbox& out) {
   if (begin >= end) return;
   Clock::time_point s0;
   if (telemetry_timing_) s0 = Clock::now();
-  const std::size_t n = nodes_.size();
+  const std::size_t n = node_count();
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId v = active_[i];
     out.reset();
     NodeContext ctx{v, n, round_};
-    nodes_[v]->react_and_send(ctx, events_by_node_.bucket(v), out);
+    store_->at(v).react_and_send(ctx, events_by_node_.bucket(v), out);
     // Validate and stage straight into the slot's router batch while the
     // node's traffic is hot; Phase 2 merges the slots at the barrier.
     fabric_.stage_outbox(slot, v, out, g_);
@@ -176,17 +173,18 @@ void Simulator::receive_slot(std::size_t slot) {
   // partitioned across slots, so concurrent calls always target distinct
   // counters (metrics.hpp contract).
   LaneBook& book = lane_books_[slot];
-  const std::size_t n = nodes_.size();
+  const std::size_t n = node_count();
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId v = stepped_[i];
+    NodeProgram& program = store_->at(v);
     NodeContext ctx{v, n, round_};
-    nodes_[v]->receive_and_update(ctx, fabric_.inbox(v));
+    program.receive_and_update(ctx, fabric_.inbox(v));
     // A degraded node's program cannot know it missed traffic; the engine
     // overrides its self-report until recovery completes.
-    const bool ok = nodes_[v]->consistent() && !degraded_[v];
+    const bool ok = program.consistent() && !degraded_[v];
     if (ok != consistent_[v]) book.flips.emplace_back(v, ok);
     if (!ok) metrics_.record_node_inconsistent(v);
-    if (config_.sparse_rounds && nodes_[v]->wants_to_act()) {
+    if (config_.sparse_rounds && program.wants_to_act()) {
       book.carry.push_back(v);
     }
   }
@@ -297,7 +295,7 @@ std::span<const EdgeEvent> Simulator::reconcile_and_recover(
 }
 
 void Simulator::apply_loss() {
-  if (pending_incident_.empty()) pending_incident_.assign(nodes_.size(), 0);
+  if (pending_incident_.empty()) pending_incident_.assign(node_count(), 0);
   auto& lost = loss_.lost_destinations;
   std::sort(lost.begin(), lost.end());
   lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
@@ -334,7 +332,7 @@ void Simulator::maybe_undegrade() {
       continue;
     }
     degraded_[v] = false;
-    if (nodes_[v]->consistent() && !consistent_[v]) {
+    if (store_->at(v).consistent() && !consistent_[v]) {
       consistent_[v] = true;
       --inconsistent_count_;
     }
@@ -343,7 +341,7 @@ void Simulator::maybe_undegrade() {
 }
 
 RoundResult Simulator::step(std::span<const EdgeEvent> events) {
-  const std::size_t n = nodes_.size();
+  const std::size_t n = node_count();
   // One shared gate for every clock read: the phase-timing accumulator
   // and the telemetry timing channel reuse the same t0..t3 samples, so
   // with both off the hot path performs no clock calls at all.

@@ -75,6 +75,15 @@
 // engine keeps just G_i and the last batch's deletes with their insertion
 // timestamps (O(k) for a k-event batch); prev_graph() rebuilds G_{i-1}
 // from the two when asked, so it works in every configuration.
+//
+// Node programs: the factory builds one NodeStore (net/node.hpp) holding
+// all n programs.  TypedNodeStore<T> keeps them in one std::vector<T>, so
+// construction makes O(1) allocations and a program must be movable; a
+// program may create its heap state on first use, so an idle node costs
+// only its object.  The engine reaches program v through one virtual
+// NodeStore::at(v) per node step and keeps no per-node pointer beside the
+// store.
+//
 // Determinism: active nodes execute in id order and see inboxes sorted by
 // sender.
 #pragma once
@@ -103,10 +112,6 @@ enum class Phase : std::uint8_t;
 }  // namespace dynsub::telemetry
 
 namespace dynsub::net {
-
-/// Creates the node program for node v in an n-node network.
-using NodeFactory =
-    std::function<std::unique_ptr<NodeProgram>(NodeId v, std::size_t n)>;
 
 struct SimulatorConfig {
   /// Ignored: prev_graph() rebuilds G_{i-1} on demand, so there is no
@@ -202,7 +207,7 @@ class Simulator {
   /// O(active), so draining an already-stable network is free.
   std::size_t run_until_stable(std::size_t max_rounds);
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return store_->size(); }
   [[nodiscard]] Round round() const { return round_; }
   [[nodiscard]] const SimulatorConfig& config() const { return config_; }
 
@@ -223,8 +228,13 @@ class Simulator {
   /// first step.
   [[nodiscard]] oracle::TimestampedGraph prev_graph() const;
 
-  [[nodiscard]] NodeProgram& node(NodeId v) { return *nodes_[v]; }
-  [[nodiscard]] const NodeProgram& node(NodeId v) const { return *nodes_[v]; }
+  [[nodiscard]] NodeProgram& node(NodeId v) { return store_->at(v); }
+  [[nodiscard]] const NodeProgram& node(NodeId v) const {
+    return store_->at(v);
+  }
+  /// Every node program, in the one store the factory built (audits and
+  /// detector queries read their concrete type through NodeStore::as).
+  [[nodiscard]] const NodeStore& store() const { return *store_; }
 
   /// Per-node consistency flags at the end of the last round.
   [[nodiscard]] const std::vector<bool>& consistency() const {
@@ -337,7 +347,7 @@ class Simulator {
   // The last step's applied deletes with the timestamps they had in G_{i-1}:
   // with g_, all prev_graph() needs.
   std::vector<std::pair<Edge, Timestamp>> last_deleted_;
-  std::vector<std::unique_ptr<NodeProgram>> nodes_;
+  std::unique_ptr<NodeStore> store_;  // all n programs, one allocation
   std::vector<bool> consistent_;
   std::size_t inconsistent_count_ = 0;
   Metrics metrics_;

@@ -19,7 +19,6 @@ namespace {
 using baseline::FloodKHopNode;
 using baseline::FullTwoHopNode;
 using baseline::NaiveTwoHopNode;
-using testing::factory_of;
 using testing::run_audited;
 using testing::run_script_audited;
 
@@ -42,7 +41,7 @@ std::optional<std::string> audit_full2hop(const net::Simulator& sim) {
 }
 
 TEST(FullTwoHopTest, SnapshotTransfersNeighborhood) {
-  net::Simulator sim(8, factory_of<FullTwoHopNode>());
+  net::Simulator sim(8, net::store_of<FullTwoHopNode>());
   // Build a star around node 1, then connect node 0: node 0 must learn all
   // of node 1's edges via the chunked snapshot.
   std::vector<std::vector<EdgeEvent>> script;
@@ -65,7 +64,7 @@ TEST(FullTwoHopTest, ExactUnderRandomChurn) {
   cp.rounds = 60;
   cp.seed = 51;
   dynamics::RandomChurnWorkload wl(cp);
-  net::Simulator sim(cp.n, factory_of<FullTwoHopNode>());
+  net::Simulator sim(cp.n, net::store_of<FullTwoHopNode>());
   run_audited(sim, wl, 20000, audit_full2hop);
 }
 
@@ -74,7 +73,7 @@ TEST(FullTwoHopTest, UpdateCostScalesLinearlyInN) {
   // of inconsistency (the snapshot), growing with n -- Lemma 1's price.
   std::vector<double> costs;
   for (std::size_t n : {64u, 256u, 1024u}) {
-    net::Simulator sim(n, factory_of<FullTwoHopNode>());
+    net::Simulator sim(n, net::store_of<FullTwoHopNode>());
     std::vector<EdgeEvent> star;
     for (NodeId u = 2; u < 34; ++u) star.push_back(EdgeEvent::insert(1, u));
     sim.step(star);
@@ -92,7 +91,7 @@ TEST(NaiveTwoHopTest, FlickerMakesItConfidentlyWrong) {
   // The Section 1.3 counterexample: after the schedule, the victim flies
   // its consistent flag while remembering the deleted far edge.
   const auto scenario = dynamics::make_flicker_scenario(8);
-  net::Simulator sim(8, factory_of<NaiveTwoHopNode>());
+  net::Simulator sim(8, net::store_of<NaiveTwoHopNode>());
   net::ScriptedWorkload wl(scenario.script);
   net::run_workload(sim, wl, 100000);
   ASSERT_TRUE(sim.all_consistent());
@@ -106,7 +105,7 @@ TEST(NaiveTwoHopTest, FlickerMakesItConfidentlyWrong) {
 TEST(NaiveTwoHopTest, RobustStructureSurvivesTheSameSchedule) {
   // Control: the Theorem 7 structure on the identical event schedule.
   const auto scenario = dynamics::make_flicker_scenario(8);
-  net::Simulator sim(8, factory_of<core::Robust2HopNode>());
+  net::Simulator sim(8, net::store_of<core::Robust2HopNode>());
   net::ScriptedWorkload wl(scenario.script);
   net::run_workload(sim, wl, 100000);
   ASSERT_TRUE(sim.all_consistent());
@@ -116,7 +115,7 @@ TEST(NaiveTwoHopTest, RobustStructureSurvivesTheSameSchedule) {
 }
 
 TEST(FloodKHopTest, LearnsWithinRadius) {
-  net::Simulator sim(8, factory_of<FloodKHopNode>(3));
+  net::Simulator sim(8, net::store_of<FloodKHopNode>(3));
   // Path 0-1-2-3-4-5: radius-3 flooding reaches edges whose near endpoint
   // is within 3 hops ({3,4} qualifies via node 3); {4,5} is out of range.
   std::vector<std::vector<EdgeEvent>> script{
@@ -135,7 +134,7 @@ TEST(FloodKHopTest, LearnsWithinRadius) {
 }
 
 TEST(FloodKHopTest, DumpTeachesFreshNeighbor) {
-  net::Simulator sim(10, factory_of<FloodKHopNode>(2));
+  net::Simulator sim(10, net::store_of<FloodKHopNode>(2));
   std::vector<std::vector<EdgeEvent>> script;
   script.push_back({EdgeEvent::insert(1, 2), EdgeEvent::insert(1, 3),
                     EdgeEvent::insert(2, 3)});
@@ -152,7 +151,7 @@ TEST(FloodKHopTest, DumpTeachesFreshNeighbor) {
 }
 
 TEST(FloodKHopTest, DeletionFloodsOut) {
-  net::Simulator sim(6, factory_of<FloodKHopNode>(3));
+  net::Simulator sim(6, net::store_of<FloodKHopNode>(3));
   std::vector<std::vector<EdgeEvent>> script{
       {EdgeEvent::insert(0, 1)}, {EdgeEvent::insert(1, 2)},
       {EdgeEvent::insert(2, 3)}, {},

@@ -18,12 +18,11 @@ namespace dynsub {
 namespace {
 
 using core::TriangleNode;
-using testing::factory_of;
 using testing::run_audited;
 using testing::run_script_audited;
 
 net::Simulator make_sim(std::size_t n) {
-  return net::Simulator(n, factory_of<TriangleNode>());
+  return net::Simulator(n, net::store_of<TriangleNode>());
 }
 
 /// One insert per round building the complete graph on `members`.

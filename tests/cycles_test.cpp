@@ -16,12 +16,11 @@ namespace dynsub {
 namespace {
 
 using core::Robust3HopNode;
-using testing::factory_of;
 using testing::run_audited;
 using testing::run_script_audited;
 
 net::Simulator make_sim(std::size_t n) {
-  return net::Simulator(n, factory_of<Robust3HopNode>());
+  return net::Simulator(n, net::store_of<Robust3HopNode>());
 }
 
 /// Queries every node of the cycle; returns how many answer true (and
@@ -152,11 +151,7 @@ TEST_P(CycleSweep, ListingGuaranteeUnderPlantedCycleChurn) {
   pp.seed = p.seed;
   dynamics::PlantedCycleWorkload wl(pp);
   auto sim = make_sim(p.n);
-  run_audited(sim, wl, 5000, [](const net::Simulator& s) {
-    auto err = core::audit_robust3hop(s);
-    if (err) return err;
-    return core::audit_cycle_listing(s);
-  });
+  run_audited(sim, wl, 5000, core::audit_robust3hop_and_cycles);
   EXPECT_LE(sim.metrics().amortized_sup(), 5.0);
 }
 

@@ -155,28 +155,40 @@ TEST(DetectRegistryTest, FuzzMutatedSpecsNeverCrashTheRegistry) {
 
 // ------------------------------------------------------------ footprint ----
 
-// At O(1) amortized rounds nearly every node is idle nearly all the time, so
-// an idle node program must own no heap beyond its own object: building N
-// programs through any registry detector's factory makes exactly N
-// allocations.
-TEST(DetectFootprintTest, IdleProgramsAllocateOnlyThemselves) {
+// Every registry detector's factory builds its whole node store in O(1)
+// allocations: the store object and one vector holding all n programs by
+// value, and no idle program allocates on construction.  A heap object per
+// program would make n allocations.
+TEST(DetectFootprintTest, FactoriesBuildTheStoreInConstantAllocations) {
   constexpr std::size_t kNodes = 512;
+  constexpr std::size_t kMaxAllocations = 2;
   for (const auto& entry : detect::detector_catalog()) {
     const auto detector = detect::build_detector(entry.example);
     ASSERT_NE(detector, nullptr) << entry.example;
     const net::NodeFactory factory = detector->factory();
-    std::vector<std::unique_ptr<net::NodeProgram>> programs;
-    programs.reserve(kNodes);
+    std::unique_ptr<net::NodeStore> store;
     std::size_t allocations = 0;
     {
       testing::AllocationCounter counter;
-      for (NodeId v = 0; v < kNodes; ++v) {
-        programs.push_back(factory(v, kNodes));
-      }
+      store = factory(kNodes);
       allocations = counter.count();
     }
-    EXPECT_EQ(allocations, kNodes) << entry.example;
+    ASSERT_NE(store, nullptr) << entry.example;
+    EXPECT_EQ(store->size(), kNodes) << entry.example;
+    EXPECT_LE(allocations, kMaxAllocations) << entry.example;
   }
+}
+
+// A detector reaches its programs through one checked cast of the node
+// store; a simulator built by another detector's factory is a caller bug
+// and aborts, naming the query or the audit.
+TEST(DetectFootprintTest, ForeignStoreAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto triangle = detect::build_detector("triangle");
+  const net::Simulator sim(4, detect::build_detector("robust2hop")->factory());
+  EXPECT_DEATH((void)triangle->query(sim, 0, detect::EdgeQuery{Edge(0, 1)}),
+               "another factory");
+  EXPECT_DEATH((void)triangle->audit(sim), "audit_triangle: wrong node type");
 }
 
 // ------------------------------------------------- uniform query surface ----

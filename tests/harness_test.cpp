@@ -17,9 +17,7 @@ namespace dynsub::harness {
 namespace {
 
 TEST(HarnessTest, SummarizeReflectsMetrics) {
-  net::Simulator sim(4, [](NodeId v, std::size_t n) {
-    return std::make_unique<core::Robust2HopNode>(v, n);
-  });
+  net::Simulator sim(4, net::store_of<core::Robust2HopNode>());
   sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(0, 1)});
   sim.run_until_stable(50);
   const RunSummary s = summarize(sim);

@@ -20,7 +20,6 @@
 namespace dynsub {
 namespace {
 
-using testing::factory_of;
 
 /// Runs random churn over an algorithm and returns the final metrics-based
 /// summary quantities used below.
@@ -42,7 +41,7 @@ net::Metrics const& churn_run(net::Simulator& sim, std::size_t rounds,
 TEST(IntegrationTest, TriangleAmortizedConstantAcrossSizes) {
   // The O(1) bound must not drift with n.
   for (std::size_t n : {16u, 48u, 96u}) {
-    net::Simulator sim(n, factory_of<core::TriangleNode>());
+    net::Simulator sim(n, net::store_of<core::TriangleNode>());
     const auto& m = churn_run<core::TriangleNode>(sim, 150, 101 + n);
     EXPECT_LE(m.amortized(), 3.0) << "n=" << n;
     EXPECT_LE(m.amortized_sup(), 4.0) << "n=" << n;
@@ -51,7 +50,7 @@ TEST(IntegrationTest, TriangleAmortizedConstantAcrossSizes) {
 
 TEST(IntegrationTest, Robust3HopAmortizedConstantAcrossSizes) {
   for (std::size_t n : {16u, 48u, 96u}) {
-    net::Simulator sim(n, factory_of<core::Robust3HopNode>());
+    net::Simulator sim(n, net::store_of<core::Robust3HopNode>());
     const auto& m = churn_run<core::Robust3HopNode>(sim, 150, 202 + n);
     EXPECT_LE(m.amortized(), 4.0) << "n=" << n;
     EXPECT_LE(m.amortized_sup(), 6.0) << "n=" << n;
@@ -64,13 +63,13 @@ TEST(IntegrationTest, SessionChurnKeepsAllStructuresConstant) {
   sp.rounds = 250;
   sp.seed = 77;
   {
-    net::Simulator sim(sp.n, factory_of<core::TriangleNode>());
+    net::Simulator sim(sp.n, net::store_of<core::TriangleNode>());
     dynamics::SessionChurnWorkload wl(sp);
     net::run_workload(sim, wl, 100000);
     EXPECT_LE(sim.metrics().amortized(), 3.0);
   }
   {
-    net::Simulator sim(sp.n, factory_of<core::Robust3HopNode>());
+    net::Simulator sim(sp.n, net::store_of<core::Robust3HopNode>());
     dynamics::SessionChurnWorkload wl(sp);
     net::run_workload(sim, wl, 100000);
     EXPECT_LE(sim.metrics().amortized(), 4.0);
@@ -80,7 +79,7 @@ TEST(IntegrationTest, SessionChurnKeepsAllStructuresConstant) {
 TEST(IntegrationTest, MassChurnSingleRoundBatches) {
   // The model allows an arbitrary number of changes per round; throw whole
   // graphs in and out at once and verify correctness plus cheap recovery.
-  net::Simulator sim(24, factory_of<core::TriangleNode>());
+  net::Simulator sim(24, net::store_of<core::TriangleNode>());
   std::vector<EdgeEvent> big;
   for (NodeId a = 0; a < 24; ++a) {
     for (NodeId b = a + 1; b < 24; b += 3) big.push_back(EdgeEvent::insert(a, b));
@@ -117,7 +116,7 @@ TEST(IntegrationTest, MembershipLbForcesLinearGrowthOnFull2Hop) {
     mp.t = t;
     dynamics::MembershipLbAdversary wl(mp);
     net::Simulator sim(wl.nodes_required(),
-                       factory_of<baseline::FullTwoHopNode>());
+                       net::store_of<baseline::FullTwoHopNode>());
     net::run_workload(sim, wl, 2000000);
     EXPECT_TRUE(wl.finished());
     amortized.push_back(sim.metrics().amortized());
@@ -133,7 +132,7 @@ TEST(IntegrationTest, TriangleStructureShrugsOffMembershipLbAdversary) {
   mp.pattern = dynamics::pattern_p3();
   mp.t = 24;
   dynamics::MembershipLbAdversary wl(mp);
-  net::Simulator sim(wl.nodes_required(), factory_of<core::TriangleNode>());
+  net::Simulator sim(wl.nodes_required(), net::store_of<core::TriangleNode>());
   net::run_workload(sim, wl, 2000000);
   EXPECT_TRUE(wl.finished());
   EXPECT_LE(sim.metrics().amortized(), 3.0);
@@ -149,7 +148,7 @@ TEST(IntegrationTest, CycleLbForcesGrowthOnFlood3Hop) {
     cp.seed = 13;
     dynamics::CycleLbAdversary wl(cp);
     net::Simulator sim(wl.nodes_required(),
-                       factory_of<baseline::FloodKHopNode>(3));
+                       net::store_of<baseline::FloodKHopNode>(3));
     net::run_workload(sim, wl, 4000000);
     EXPECT_TRUE(wl.finished());
     amortized.push_back(sim.metrics().amortized());
@@ -167,7 +166,7 @@ TEST(IntegrationTest, FourFiveCycleListingSurvivesCycleLbGadget) {
   cp.seed = 13;
   dynamics::CycleLbAdversary wl(cp);
   net::Simulator sim(wl.nodes_required(),
-                     factory_of<core::Robust3HopNode>());
+                     net::store_of<core::Robust3HopNode>());
   net::run_workload(sim, wl, 2000000);
   EXPECT_TRUE(wl.finished());
   EXPECT_LE(sim.metrics().amortized(), 4.0);
@@ -178,14 +177,14 @@ TEST(IntegrationTest, MeterMatchesHandCountedScenario) {
   // round (both flags), then everyone settles: exactly 2 charged rounds
   // for the triangle node's two-round quiet rule, 1 for robust2hop.
   {
-    net::Simulator sim(4, factory_of<core::Robust2HopNode>());
+    net::Simulator sim(4, net::store_of<core::Robust2HopNode>());
     sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(0, 1)});
     sim.run_until_stable(100);
     EXPECT_EQ(sim.metrics().inconsistent_rounds(), 1u);
     EXPECT_EQ(sim.metrics().changes(), 1u);
   }
   {
-    net::Simulator sim(4, factory_of<core::TriangleNode>());
+    net::Simulator sim(4, net::store_of<core::TriangleNode>());
     sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(0, 1)});
     sim.run_until_stable(100);
     EXPECT_EQ(sim.metrics().inconsistent_rounds(), 2u);
@@ -202,7 +201,7 @@ namespace dynsub {
 namespace {
 
 TEST(EdgeCaseTest, TwoNodeNetworkFlicker) {
-  net::Simulator sim(2, factory_of<core::TriangleNode>());
+  net::Simulator sim(2, net::store_of<core::TriangleNode>());
   for (int cycle = 0; cycle < 10; ++cycle) {
     sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(0, 1)});
     sim.step(std::vector<EdgeEvent>{EdgeEvent::remove(0, 1)});
@@ -214,7 +213,7 @@ TEST(EdgeCaseTest, TwoNodeNetworkFlicker) {
 }
 
 TEST(EdgeCaseTest, SingleNodeNetworkIsTriviallyConsistent) {
-  net::Simulator sim(1, factory_of<core::Robust3HopNode>());
+  net::Simulator sim(1, net::store_of<core::Robust3HopNode>());
   for (int r = 0; r < 5; ++r) sim.step({});
   EXPECT_TRUE(sim.all_consistent());
   EXPECT_EQ(sim.metrics().inconsistent_rounds(), 0u);
@@ -224,7 +223,7 @@ TEST(EdgeCaseTest, ComponentSplitAndMergeKeepsRobust3HopSound) {
   // Build a path spanning two halves, cut the bridge (stranding 3-hop
   // knowledge across the cut), churn both sides, then re-bridge: the
   // sandwich audit must hold at every consistent step.
-  net::Simulator sim(8, factory_of<core::Robust3HopNode>());
+  net::Simulator sim(8, net::store_of<core::Robust3HopNode>());
   net::ScriptedWorkload wl({
       {EdgeEvent::insert(0, 1), EdgeEvent::insert(4, 5)},
       {EdgeEvent::insert(1, 2), EdgeEvent::insert(5, 6)},
@@ -264,17 +263,17 @@ TEST(EdgeCaseTest, SameRoundStormAcrossAllCoreStructures) {
     return script;
   }();
   {
-    net::Simulator sim(n, factory_of<core::TriangleNode>());
+    net::Simulator sim(n, net::store_of<core::TriangleNode>());
     net::ScriptedWorkload wl(storm_script);
     testing::run_audited(sim, wl, 100000, core::audit_triangle);
   }
   {
-    net::Simulator sim(n, factory_of<core::Robust2HopNode>());
+    net::Simulator sim(n, net::store_of<core::Robust2HopNode>());
     net::ScriptedWorkload wl(storm_script);
     testing::run_audited(sim, wl, 100000, core::audit_robust2hop);
   }
   {
-    net::Simulator sim(n, factory_of<core::Robust3HopNode>());
+    net::Simulator sim(n, net::store_of<core::Robust3HopNode>());
     net::ScriptedWorkload wl(storm_script);
     testing::run_audited(sim, wl, 100000, core::audit_robust3hop);
   }
@@ -283,7 +282,7 @@ TEST(EdgeCaseTest, SameRoundStormAcrossAllCoreStructures) {
 TEST(EdgeCaseTest, ReinsertionSameRoundAsNeighborDeletion) {
   // The interleaving behind the D5 races, as a deterministic miniature:
   // {1,2} flickers while {0,1} / {0,2} toggle in the same rounds.
-  net::Simulator sim(4, factory_of<core::TriangleNode>());
+  net::Simulator sim(4, net::store_of<core::TriangleNode>());
   net::ScriptedWorkload wl({
       {EdgeEvent::insert(0, 1), EdgeEvent::insert(0, 2)},
       {EdgeEvent::insert(1, 2), EdgeEvent::insert(1, 3)},

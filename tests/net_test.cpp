@@ -159,11 +159,7 @@ class ProbeNode final : public NodeProgram {
   bool declare_busy_always = false;
 };
 
-NodeFactory probe_factory() {
-  return [](NodeId v, std::size_t n) {
-    return std::make_unique<ProbeNode>(v, n);
-  };
-}
+NodeFactory probe_factory() { return store_of<ProbeNode>(); }
 
 TEST(SimulatorTest, NotifiesOnlyIncidentNodes) {
   Simulator sim(4, probe_factory());
@@ -203,9 +199,7 @@ TEST(SimulatorTest, MessageOnDeletedLinkAborts) {
   };
   EXPECT_DEATH(
       {
-        Simulator sim(2, [](NodeId v, std::size_t n) {
-          return std::make_unique<StaleSender>(v, n);
-        });
+        Simulator sim(2, store_of<StaleSender>());
         sim.step({});  // no edge {0,1} yet: sending is a violation
       },
       "absent link");
@@ -238,9 +232,7 @@ TEST(SimulatorTest, BandwidthOverrunAborts) {
   };
   EXPECT_DEATH(
       {
-        Simulator sim(2, [](NodeId v, std::size_t n) {
-          return std::make_unique<Blaster>(v, n);
-        });
+        Simulator sim(2, store_of<Blaster>());
         sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(0, 1)});
       },
       "exceeds budget");
@@ -268,9 +260,7 @@ TEST(SimulatorTest, DoublePayloadOnOneLinkAborts) {
   };
   EXPECT_DEATH(
       {
-        Simulator sim(2, [](NodeId v, std::size_t n) {
-          return std::make_unique<DoubleSender>(v, n);
-        });
+        Simulator sim(2, store_of<DoubleSender>());
         sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(0, 1)});
       },
       "two payloads");
@@ -380,7 +370,7 @@ TEST(SimulatorTest, PrevGraphFollowsRecoveryFlickersUnderLoss) {
   cp.rounds = 40;
   cp.seed = 0xC4u;
   dynamics::RandomChurnWorkload wl(cp);
-  Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(),
+  Simulator sim(cp.n, store_of<core::TriangleNode>(),
                 {.faults = plan});
   run_checking_prev_graph(sim, wl);
   EXPECT_GT(sim.metrics().transport().recovery_events, 0u);

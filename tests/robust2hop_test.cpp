@@ -15,12 +15,11 @@ namespace dynsub {
 namespace {
 
 using core::Robust2HopNode;
-using testing::factory_of;
 using testing::run_audited;
 using testing::run_script_audited;
 
 net::Simulator make_sim(std::size_t n) {
-  return net::Simulator(n, factory_of<Robust2HopNode>());
+  return net::Simulator(n, net::store_of<Robust2HopNode>());
 }
 
 // ----------------------------------------------------------- scripted ----

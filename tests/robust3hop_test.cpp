@@ -20,12 +20,11 @@ namespace dynsub {
 namespace {
 
 using core::Robust3HopNode;
-using testing::factory_of;
 using testing::run_audited;
 using testing::run_script_audited;
 
 net::Simulator make_sim(std::size_t n) {
-  return net::Simulator(n, factory_of<Robust3HopNode>());
+  return net::Simulator(n, net::store_of<Robust3HopNode>());
 }
 
 TEST(Robust3HopTest, LearnsAscendingPath) {

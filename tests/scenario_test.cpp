@@ -26,7 +26,6 @@
 namespace dynsub {
 namespace {
 
-using testing::factory_of;
 
 // ----------------------------------------------------------------- spec ----
 
@@ -121,7 +120,7 @@ TEST(RegistryTest, EveryCatalogExampleBuildsAndRuns) {
     auto built = scenario::build_scenario(spec, opts, &error);
     ASSERT_TRUE(built.has_value()) << spec << ": " << error;
     ASSERT_GE(built->nodes, 2u) << spec;
-    net::Simulator sim(built->nodes, factory_of<core::TriangleNode>());
+    net::Simulator sim(built->nodes, net::store_of<core::TriangleNode>());
     const std::size_t rounds =
         net::run_workload(sim, *built->workload, 200000);
     EXPECT_TRUE(built->workload->finished()) << spec;
@@ -250,7 +249,7 @@ TEST(RegistryTest, SameSpecSameSeedIsBitIdentical) {
     auto built = scenario::build_scenario(spec, opts);
     ASSERT_TRUE(built.has_value());
     net::RecordingWorkload recorder(*built->workload);
-    net::Simulator sim(built->nodes, factory_of<core::TriangleNode>());
+    net::Simulator sim(built->nodes, net::store_of<core::TriangleNode>());
     net::run_workload(sim, recorder, 200000);
     streams.push_back(recorder.rounds());
   }
@@ -271,7 +270,7 @@ struct RecordedRun {
 
 RecordedRun record_run(net::Workload& workload, std::size_t n) {
   net::RecordingWorkload recorder(workload);
-  net::Simulator sim(n, factory_of<core::TriangleNode>());
+  net::Simulator sim(n, net::store_of<core::TriangleNode>());
   net::run_workload(sim, recorder, 200000);
   RecordedRun r;
   r.rounds = recorder.rounds();
@@ -380,7 +379,7 @@ TEST(CombinatorEquivalence, SequenceRoundCountAccounting) {
   stages.push_back(std::make_unique<net::ScriptedWorkload>(second));
   scenario::SequenceWorkload seq(std::move(stages));
 
-  net::Simulator sim(6, factory_of<core::TriangleNode>());
+  net::Simulator sim(6, net::store_of<core::TriangleNode>());
   const std::size_t rounds = net::run_workload(sim, seq, 100000);
   EXPECT_TRUE(seq.finished());
   EXPECT_EQ(seq.rounds_fed(0), 3u);
@@ -401,7 +400,7 @@ TEST(CombinatorEquivalence, SequenceStabilizeBetweenInsertsGapRounds) {
   scenario::SequenceWorkload seq(std::move(stages),
                                  /*stabilize_between=*/true);
 
-  net::Simulator sim(6, factory_of<core::TriangleNode>());
+  net::Simulator sim(6, net::store_of<core::TriangleNode>());
   net::run_workload(sim, seq, 100000);
   EXPECT_TRUE(seq.finished());
   EXPECT_EQ(seq.rounds_fed(0), 1u);
@@ -491,7 +490,7 @@ TEST(CombinatorEquivalence, SequenceSanitizesStagesBlindToEarlierLeftovers) {
       "remap(churn(n=8, rounds=20, seed=2), offset=0))",
       opts, &error);
   ASSERT_TRUE(built.has_value()) << error;
-  net::Simulator sim(built->nodes, factory_of<core::TriangleNode>());
+  net::Simulator sim(built->nodes, net::store_of<core::TriangleNode>());
   net::run_workload(sim, *built->workload, 100000);
   EXPECT_TRUE(built->workload->finished());
   EXPECT_TRUE(sim.all_consistent());

@@ -173,7 +173,7 @@ TEST(ShardEquivalence, TriangleByteIdenticalAcrossShardMatrix) {
   cp.rounds = 80;
   cp.seed = 0x5A0u;
   dynamics::RandomChurnWorkload wl(cp);
-  drive_shard_matrix(cp.n, testing::factory_of<core::TriangleNode>(), wl,
+  drive_shard_matrix(cp.n, net::store_of<core::TriangleNode>(), wl,
                      known_edges_of<core::TriangleNode>(), acceptance_cells(),
                      core::audit_triangle);
 }
@@ -186,7 +186,7 @@ TEST(ShardEquivalence, Robust2HopByteIdenticalAcrossShards) {
   cp.rounds = 80;
   cp.seed = 0x5A1u;
   dynamics::RandomChurnWorkload wl(cp);
-  drive_shard_matrix(cp.n, testing::factory_of<core::Robust2HopNode>(), wl,
+  drive_shard_matrix(cp.n, net::store_of<core::Robust2HopNode>(), wl,
                      known_edges_of<core::Robust2HopNode>(),
                      {{2, 1}, {2, 4}, {4, 1}, {4, 4}}, core::audit_robust2hop);
 }
@@ -203,7 +203,7 @@ TEST(ShardEquivalence, FullTwoHopHeavyTrafficAcrossShards) {
   cp.seed = 0x5A2u;
   dynamics::RandomChurnWorkload wl(cp);
   drive_shard_matrix(
-      cp.n, testing::factory_of<baseline::FullTwoHopNode>(), wl,
+      cp.n, net::store_of<baseline::FullTwoHopNode>(), wl,
       [](const net::Simulator& sim, NodeId v) {
         return dynamic_cast<const baseline::FullTwoHopNode&>(sim.node(v))
             .known_edges();
@@ -231,7 +231,7 @@ TEST(ShardEquivalence, RecoverableChaosByteIdenticalAcrossShards) {
   cp.rounds = 60;
   cp.seed = 0x5A3u;
   dynamics::RandomChurnWorkload wl(cp);
-  drive_shard_matrix(cp.n, testing::factory_of<core::TriangleNode>(), wl,
+  drive_shard_matrix(cp.n, net::store_of<core::TriangleNode>(), wl,
                      known_edges_of<core::TriangleNode>(),
                      {{2, 1}, {2, 4}, {4, 1}, {4, 4}}, core::audit_triangle,
                      plan);
@@ -242,7 +242,7 @@ TEST(ShardEquivalence, EpochWrapIsInvisibleAcrossShards) {
   // engine keeps all S routers in lockstep through the wrap reset, and
   // frame validation (seq/epoch in every header) keeps accepting fresh
   // frames.
-  const auto factory = testing::factory_of<core::TriangleNode>();
+  const auto factory = net::store_of<core::TriangleNode>();
   const auto state_of = known_edges_of<core::TriangleNode>();
   for (std::size_t prime_round = 4; prime_round <= 12; prime_round += 4) {
     dynamics::RandomChurnParams cp;
@@ -301,7 +301,7 @@ TEST(ShardEquivalence, CrossShardTrafficActuallyCrossesTheWire) {
     dynamics::RandomChurnWorkload wl(cp);
     net::SimulatorConfig cfg;
     cfg.shards = shards;
-    net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), cfg);
+    net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), cfg);
     net::run_workload(sim, wl, 100000);
     EXPECT_TRUE(sim.metrics().transport() == net::TransportStats{})
         << "shards=" << shards;

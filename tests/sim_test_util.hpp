@@ -13,14 +13,6 @@
 
 namespace dynsub::testing {
 
-/// NodeFactory for a node type constructible as NodeT(self, n, extra...).
-template <typename NodeT, typename... Extra>
-net::NodeFactory factory_of(Extra... extra) {
-  return [extra...](NodeId v, std::size_t n) {
-    return std::make_unique<NodeT>(v, n, extra...);
-  };
-}
-
 using RoundAudit = std::function<std::optional<std::string>(
     const net::Simulator&)>;
 

@@ -226,7 +226,7 @@ TEST(SimulatorEquivalence, TriangleUnderRandomChurn) {
   cp.rounds = 150;
   cp.seed = 0xE0u;
   dynamics::RandomChurnWorkload wl(cp);
-  EnginePair e(cp.n, testing::factory_of<core::TriangleNode>());
+  EnginePair e(cp.n, net::store_of<core::TriangleNode>());
   drive_lockstep(e, wl, known_edges_of<core::TriangleNode>());
   EXPECT_EQ(core::audit_triangle(e.sparse), std::nullopt);
   EXPECT_EQ(core::audit_triangle(e.dense), std::nullopt);
@@ -240,7 +240,7 @@ TEST(SimulatorEquivalence, Robust2HopUnderRandomChurn) {
   cp.rounds = 150;
   cp.seed = 0xE1u;
   dynamics::RandomChurnWorkload wl(cp);
-  EnginePair e(cp.n, testing::factory_of<core::Robust2HopNode>());
+  EnginePair e(cp.n, net::store_of<core::Robust2HopNode>());
   drive_lockstep(e, wl, known_edges_of<core::Robust2HopNode>());
   EXPECT_EQ(core::audit_robust2hop(e.sparse), std::nullopt);
   EXPECT_EQ(core::audit_robust2hop(e.dense), std::nullopt);
@@ -256,7 +256,7 @@ TEST(SimulatorEquivalence, Robust3HopUnderPlantedCycles) {
   pp.rounds = 120;
   pp.seed = 0xE2u;
   dynamics::PlantedCycleWorkload wl(pp);
-  EnginePair e(pp.n, testing::factory_of<core::Robust3HopNode>());
+  EnginePair e(pp.n, net::store_of<core::Robust3HopNode>());
   drive_lockstep(e, wl, known_edges_of<core::Robust3HopNode>());
   EXPECT_EQ(core::audit_robust3hop(e.sparse), std::nullopt);
   EXPECT_EQ(core::audit_robust3hop(e.dense), std::nullopt);
@@ -266,7 +266,7 @@ TEST(SimulatorEquivalence, Robust3HopUnderPlantedCycles) {
 
 TEST(SimulatorEquivalence, Robust3HopUnderDeletionHeavyChurn) {
   auto wl = deletion_heavy_churn(28, 0xE5u);
-  EnginePair e(28, testing::factory_of<core::Robust3HopNode>());
+  EnginePair e(28, net::store_of<core::Robust3HopNode>());
   drive_lockstep(e, wl, paths_of);
   EXPECT_EQ(core::audit_robust3hop(e.sparse), std::nullopt);
   EXPECT_EQ(core::audit_robust3hop(e.dense), std::nullopt);
@@ -275,7 +275,7 @@ TEST(SimulatorEquivalence, Robust3HopUnderDeletionHeavyChurn) {
 TEST(SimulatorEquivalence, TriangleUnderFlickerAdversary) {
   const auto scenario = dynamics::make_repeated_flicker_scenario(12, 3);
   net::ScriptedWorkload wl(scenario.script);
-  EnginePair e(12, testing::factory_of<core::TriangleNode>());
+  EnginePair e(12, net::store_of<core::TriangleNode>());
   drive_lockstep(e, wl, known_edges_of<core::TriangleNode>());
   EXPECT_EQ(core::audit_triangle(e.sparse), std::nullopt);
 }
@@ -285,7 +285,7 @@ TEST(SimulatorEquivalence, NaiveBaselineUnderFlickerAdversary) {
   // identical behavior, not correctness, so it must hold here too.
   const auto scenario = dynamics::make_flicker_scenario(12);
   net::ScriptedWorkload wl(scenario.script);
-  EnginePair e(12, testing::factory_of<baseline::NaiveTwoHopNode>());
+  EnginePair e(12, net::store_of<baseline::NaiveTwoHopNode>());
   drive_lockstep(e, wl, [](const net::Simulator& sim, NodeId v) {
     return dynamic_cast<const baseline::NaiveTwoHopNode&>(sim.node(v))
         .known_edges();
@@ -303,7 +303,7 @@ TEST(SimulatorEquivalence, FullTwoHopBaselineUnderRandomChurn) {
   cp.rounds = 80;
   cp.seed = 0xE4u;
   dynamics::RandomChurnWorkload wl(cp);
-  EnginePair e(cp.n, testing::factory_of<baseline::FullTwoHopNode>());
+  EnginePair e(cp.n, net::store_of<baseline::FullTwoHopNode>());
   drive_lockstep(e, wl, [](const net::Simulator& sim, NodeId v) {
     return dynamic_cast<const baseline::FullTwoHopNode&>(sim.node(v))
         .known_edges();
@@ -318,7 +318,7 @@ TEST(SimulatorEquivalence, FloodBaselineUnderRandomChurn) {
   cp.rounds = 80;
   cp.seed = 0xE3u;
   dynamics::RandomChurnWorkload wl(cp);
-  EnginePair e(cp.n, testing::factory_of<baseline::FloodKHopNode>(2));
+  EnginePair e(cp.n, net::store_of<baseline::FloodKHopNode>(2));
   drive_lockstep(e, wl, [](const net::Simulator& sim, NodeId v) {
     return dynamic_cast<const baseline::FloodKHopNode&>(sim.node(v))
         .known_edges();
@@ -339,7 +339,7 @@ TEST(ParallelEquivalence, TriangleUnderRandomChurn) {
   cp.rounds = 150;
   cp.seed = 0xF0u;
   dynamics::RandomChurnWorkload wl(cp);
-  drive_lockstep_parallel(cp.n, testing::factory_of<core::TriangleNode>(),
+  drive_lockstep_parallel(cp.n, net::store_of<core::TriangleNode>(),
                           wl, known_edges_of<core::TriangleNode>(),
                           /*dense=*/false, core::audit_triangle);
 }
@@ -352,7 +352,7 @@ TEST(ParallelEquivalence, Robust2HopUnderRandomChurn) {
   cp.rounds = 150;
   cp.seed = 0xF1u;
   dynamics::RandomChurnWorkload wl(cp);
-  drive_lockstep_parallel(cp.n, testing::factory_of<core::Robust2HopNode>(),
+  drive_lockstep_parallel(cp.n, net::store_of<core::Robust2HopNode>(),
                           wl, known_edges_of<core::Robust2HopNode>(),
                           /*dense=*/false, core::audit_robust2hop);
 }
@@ -367,14 +367,14 @@ TEST(ParallelEquivalence, Robust3HopUnderPlantedCycles) {
   pp.rounds = 120;
   pp.seed = 0xF2u;
   dynamics::PlantedCycleWorkload wl(pp);
-  drive_lockstep_parallel(pp.n, testing::factory_of<core::Robust3HopNode>(),
+  drive_lockstep_parallel(pp.n, net::store_of<core::Robust3HopNode>(),
                           wl, known_edges_of<core::Robust3HopNode>(),
                           /*dense=*/false, core::audit_robust3hop);
 }
 
 TEST(ParallelEquivalence, Robust3HopUnderDeletionHeavyChurn) {
   auto wl = deletion_heavy_churn(28, 0xF8u);
-  drive_lockstep_parallel(28, testing::factory_of<core::Robust3HopNode>(),
+  drive_lockstep_parallel(28, net::store_of<core::Robust3HopNode>(),
                           wl, paths_of, /*dense=*/false,
                           core::audit_robust3hop);
 }
@@ -382,7 +382,7 @@ TEST(ParallelEquivalence, Robust3HopUnderDeletionHeavyChurn) {
 TEST(ParallelEquivalence, TriangleUnderFlickerAdversary) {
   const auto scenario = dynamics::make_repeated_flicker_scenario(12, 3);
   net::ScriptedWorkload wl(scenario.script);
-  drive_lockstep_parallel(12, testing::factory_of<core::TriangleNode>(), wl,
+  drive_lockstep_parallel(12, net::store_of<core::TriangleNode>(), wl,
                           known_edges_of<core::TriangleNode>());
 }
 
@@ -397,7 +397,7 @@ TEST(ParallelEquivalence, FullTwoHopUnderRandomChurn) {
   cp.seed = 0xF3u;
   dynamics::RandomChurnWorkload wl(cp);
   drive_lockstep_parallel(
-      cp.n, testing::factory_of<baseline::FullTwoHopNode>(), wl,
+      cp.n, net::store_of<baseline::FullTwoHopNode>(), wl,
       [](const net::Simulator& sim, NodeId v) {
         return dynamic_cast<const baseline::FullTwoHopNode&>(sim.node(v))
             .known_edges();
@@ -414,7 +414,7 @@ TEST(ParallelEquivalence, DenseEngineAlsoShards) {
   cp.rounds = 100;
   cp.seed = 0xF4u;
   dynamics::RandomChurnWorkload wl(cp);
-  drive_lockstep_parallel(cp.n, testing::factory_of<core::TriangleNode>(),
+  drive_lockstep_parallel(cp.n, net::store_of<core::TriangleNode>(),
                           wl, known_edges_of<core::TriangleNode>(),
                           /*dense=*/true);
 }
@@ -470,7 +470,7 @@ TEST(SimulatorEquivalence, EpochWrapIsInvisible) {
   // post-wrap epoch at the exact round it is touched again, and the
   // stamp-to-revisit gap is fixed by the priming point -- so sweep the
   // priming point over a window of rounds to cover many gaps.
-  const auto factory = testing::factory_of<core::TriangleNode>();
+  const auto factory = net::store_of<core::TriangleNode>();
   const auto state_of = known_edges_of<core::TriangleNode>();
   for (std::size_t prime_round = 4; prime_round <= 20; ++prime_round) {
     dynamics::RandomChurnParams cp;
@@ -515,7 +515,7 @@ TEST(ParallelEquivalence, EpochWrapIsInvisibleAtEveryLaneCount) {
   // sharded across lanes -- so cross it under the parallel engine at
   // several lane counts and hold each against an unwrapped sequential
   // reference.
-  const auto factory = testing::factory_of<core::TriangleNode>();
+  const auto factory = net::store_of<core::TriangleNode>();
   const auto state_of = known_edges_of<core::TriangleNode>();
   for (const std::size_t threads : {2, 4, 8}) {
     for (std::size_t prime_round = 4; prime_round <= 12; prime_round += 4) {

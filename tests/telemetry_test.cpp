@@ -148,7 +148,7 @@ std::size_t run_churn(TelemetryRecorder& rec, std::size_t threads,
   cfg.shards = shards;
   cfg.faults = faults;
   cfg.telemetry = &rec;
-  net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), cfg);
+  net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), cfg);
   net::run_workload(sim, wl, 100000);
   // Cross-check the deterministic channel against the engine's own meter.
   const auto& rounds = rec.rounds();
@@ -241,7 +241,7 @@ TEST(SimulatorTelemetryTest, NoTimingMeansNoPhaseTimings) {
   dynamics::RandomChurnWorkload wl(cp);
   net::SimulatorConfig cfg;
   cfg.telemetry = &rec;
-  net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), cfg);
+  net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), cfg);
   net::run_workload(sim, wl, 100000);
   const net::PhaseTimings& t = sim.phase_timings();
   EXPECT_EQ(t.apply_ns, 0u);
@@ -338,7 +338,7 @@ TEST(ChaosTelemetryTest, JsonlReconstructsDegradedModeStory) {
   cfg.faults = plan;
   TelemetryRecorder rec;
   cfg.telemetry = &rec;
-  net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), cfg);
+  net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), cfg);
   net::run_workload(sim, wl, 100000);
   ASSERT_TRUE(sim.all_consistent());
 

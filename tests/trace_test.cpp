@@ -23,7 +23,6 @@
 namespace dynsub {
 namespace {
 
-using testing::factory_of;
 
 // ---------------------------------------------------------------- trace ----
 
@@ -144,7 +143,7 @@ TEST(TraceTest, RecordedAdaptiveAdversaryReplaysIdentically) {
   net::RecordingWorkload recorder(adversary);
 
   net::Simulator live(adversary.nodes_required(),
-                      factory_of<core::TriangleNode>());
+                      net::store_of<core::TriangleNode>());
   net::run_workload(live, recorder, 100000);
 
   // Round-trip the trace through the text format.
@@ -155,7 +154,7 @@ TEST(TraceTest, RecordedAdaptiveAdversaryReplaysIdentically) {
   ASSERT_TRUE(rounds.has_value());
 
   net::Simulator replayed(adversary.nodes_required(),
-                          factory_of<core::TriangleNode>());
+                          net::store_of<core::TriangleNode>());
   net::ScriptedWorkload script(*rounds);
   net::run_workload(replayed, script, 100000);
 
@@ -175,7 +174,7 @@ TEST(TraceTest, RecorderCapturesRandomChurnExactly) {
   cp.seed = 17;
   dynamics::RandomChurnWorkload wl(cp);
   net::RecordingWorkload recorder(wl);
-  net::Simulator sim(cp.n, factory_of<core::TriangleNode>());
+  net::Simulator sim(cp.n, net::store_of<core::TriangleNode>());
   net::run_workload(sim, recorder, 100000);
   std::size_t total = 0;
   for (const auto& r : recorder.rounds()) total += r.size();
@@ -241,7 +240,7 @@ TEST(TraceReplayTest, RefusesANodeIdBeyondTheHeader) {
 std::unique_ptr<net::Simulator> stable_graph(
     std::size_t n, std::initializer_list<std::pair<NodeId, NodeId>> edges) {
   auto sim = std::make_unique<net::Simulator>(
-      n, factory_of<baseline::FullTwoHopNode>());
+      n, net::store_of<baseline::FullTwoHopNode>());
   std::vector<EdgeEvent> batch;
   for (const auto& [a, b] : edges) batch.push_back(EdgeEvent::insert(a, b));
   sim->step(batch);
@@ -295,7 +294,7 @@ TEST(PatternQueryTest, C4MembershipAndRotation) {
 }
 
 TEST(PatternQueryTest, InconsistentWhileUpdating) {
-  net::Simulator sim(4, factory_of<baseline::FullTwoHopNode>());
+  net::Simulator sim(4, net::store_of<baseline::FullTwoHopNode>());
   sim.step(std::vector<EdgeEvent>{EdgeEvent::insert(0, 2)});
   const auto& node =
       dynamic_cast<const baseline::FullTwoHopNode&>(sim.node(0));

@@ -413,7 +413,7 @@ TEST(ChaosEquivalence, TriangleBitIdenticalAcrossThreadsAndSeeds) {
       cp.seed = 0xC0u;
       dynamics::RandomChurnWorkload wl(cp);
       total += drive_chaos_lockstep(
-          cp.n, testing::factory_of<core::TriangleNode>(), wl,
+          cp.n, net::store_of<core::TriangleNode>(), wl,
           known_edges_of<core::TriangleNode>(), recoverable_plan(seed),
           threads, core::audit_triangle);
       if (::testing::Test::HasFailure()) return;
@@ -438,7 +438,7 @@ TEST(ChaosEquivalence, Robust2HopBitIdenticalUnderChaos) {
   cp.rounds = 80;
   cp.seed = 0xC1u;
   dynamics::RandomChurnWorkload wl(cp);
-  drive_chaos_lockstep(cp.n, testing::factory_of<core::Robust2HopNode>(), wl,
+  drive_chaos_lockstep(cp.n, net::store_of<core::Robust2HopNode>(), wl,
                        known_edges_of<core::Robust2HopNode>(),
                        recoverable_plan(17), /*threads=*/2,
                        core::audit_robust2hop);
@@ -461,7 +461,7 @@ TEST(ChaosEquivalence, TransportCountersReplayIdentically) {
     cfg.threads = threads;
     cfg.threads_inline_cutoff = 0;
     cfg.faults = recoverable_plan(29);
-    net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), cfg);
+    net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), cfg);
     net::run_workload(sim, wl, 100000);
     return sim.metrics().transport();
   };
@@ -517,7 +517,7 @@ TEST(LocalTransportTest, FaultFreeEngineAccruesNoTransportCounters) {
   cp.rounds = 40;
   cp.seed = 0xC3u;
   dynamics::RandomChurnWorkload wl(cp);
-  net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), {});
+  net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), {});
   net::run_workload(sim, wl, 100000);
   EXPECT_TRUE(sim.metrics().transport() == net::TransportStats{});
   EXPECT_EQ(sim.degraded_count(), 0u);
@@ -554,7 +554,7 @@ TEST(DegradedMode, KillWindowDegradesHonestlyAndRecovers) {
   dynamics::RandomChurnWorkload wl(cp);
   net::SimulatorConfig cfg;
   cfg.faults = plan;
-  net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), cfg);
+  net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), cfg);
   std::string error;
   const auto detector = detect::build_detector("triangle", &error);
   ASSERT_NE(detector, nullptr) << error;
@@ -638,7 +638,7 @@ TEST(DegradedMode, LossDoesNotDependOnTheInlineCutoff) {
   ASSERT_GE(inline_cfg.threads_inline_cutoff, cp.n);
   net::SimulatorConfig forked_cfg = inline_cfg;
   forked_cfg.threads_inline_cutoff = 0;
-  const auto factory = testing::factory_of<core::TriangleNode>();
+  const auto factory = net::store_of<core::TriangleNode>();
   net::Simulator inlined(cp.n, factory, inline_cfg);
   net::Simulator forked(cp.n, factory, forked_cfg);
   bool saw_partial_loss = false;
@@ -691,7 +691,7 @@ TEST(DegradedMode, OutagesStaySoundAtEveryLaneCount) {
     cfg.threads = threads;
     cfg.threads_inline_cutoff = 0;
     cfg.faults = plan;
-    net::Simulator sim(cp.n, testing::factory_of<core::TriangleNode>(), cfg);
+    net::Simulator sim(cp.n, net::store_of<core::TriangleNode>(), cfg);
     std::size_t rounds = 0;
     while (rounds < 100000 && !(wl.finished() && sim.all_consistent())) {
       net::WorkloadObservation obs{sim.graph(), sim.round() + 1,

@@ -8,6 +8,7 @@
 
 #include "core/audit.hpp"
 #include "core/triangle.hpp"
+#include "detect/registry.hpp"
 #include "dynamics/flicker.hpp"
 #include "dynamics/planted.hpp"
 #include "dynamics/random_churn.hpp"
@@ -17,12 +18,11 @@ namespace dynsub {
 namespace {
 
 using core::TriangleNode;
-using testing::factory_of;
 using testing::run_audited;
 using testing::run_script_audited;
 
 net::Simulator make_sim(std::size_t n) {
-  return net::Simulator(n, factory_of<TriangleNode>());
+  return net::Simulator(n, net::store_of<TriangleNode>());
 }
 
 // ----------------------------------------------------------- scripted ----
@@ -180,6 +180,75 @@ TEST(TriangleTest, PlantedCliqueChurnStaysExact) {
   dynamics::PlantedCliqueWorkload wl(pp);
   auto sim = make_sim(pp.n);
   run_audited(sim, wl, 5000, core::audit_triangle);
+}
+
+// ------------------------------------------------------- idle programs ----
+
+// An idle TriangleNode holds only its id and flags; its first incident
+// event creates the State, which is never freed.  A node that never had an
+// edge (no State) and a node that gained one edge and lost it (an emptied
+// State) must answer every declared query and listing identically, and
+// both must stay consistent.
+TEST(TriangleTest, IdleNodeAnswersLikeAnEmptiedOne) {
+  constexpr NodeId kIdle = 0;
+  constexpr NodeId kEmptied = 1;
+  const auto detector = detect::build_detector("triangle(k=4)");
+  ASSERT_NE(detector, nullptr);
+  net::Simulator sim(6, detector->factory());
+  // Node 1 learns the triangle {2,3,4} through its edge to 2, then loses
+  // the edge; node 0 never has one.
+  run_script_audited(sim,
+                     {{EdgeEvent::insert(1, 2), EdgeEvent::insert(2, 3),
+                       EdgeEvent::insert(2, 4), EdgeEvent::insert(3, 4),
+                       EdgeEvent::insert(4, 5)},
+                      {},
+                      {},
+                      {EdgeEvent::remove(1, 2)}},
+                     64, core::audit_triangle);
+  for (int r = 0; r < 3; ++r) sim.step({});
+  ASSERT_EQ(core::audit_triangle(sim), std::nullopt);
+  ASSERT_EQ(core::audit_cliques(sim, 4), std::nullopt);
+
+  const auto nodes = sim.store().as<TriangleNode>("IdleNodeAnswersLike");
+  for (const NodeId v : {kIdle, kEmptied}) {
+    EXPECT_TRUE(sim.consistency()[v]) << "v=" << v;
+    EXPECT_TRUE(nodes[v].consistent()) << "v=" << v;
+    EXPECT_FALSE(nodes[v].wants_to_act()) << "v=" << v;
+    EXPECT_EQ(nodes[v].queue_length(), 0u) << "v=" << v;
+    EXPECT_TRUE(nodes[v].known_edges().empty()) << "v=" << v;
+  }
+  const auto same = [&](const detect::Query& q, const char* what) {
+    EXPECT_EQ(detector->query(sim, kIdle, q),
+              detector->query(sim, kEmptied, q))
+        << what;
+  };
+  // Every edge of the network, both nodes' own pair included.
+  for (NodeId a = 0; a < 6; ++a) {
+    for (NodeId b = a + 1; b < 6; ++b) {
+      same(detect::EdgeQuery{Edge(a, b)}, "edge");
+    }
+  }
+  // Every triangle and clique query over the nodes besides the two.
+  for (NodeId u = 2; u < 6; ++u) {
+    same(detect::CliqueQuery{{u}}, "clique of two");
+    for (NodeId w = u + 1; w < 6; ++w) {
+      same(detect::TriangleQuery{u, w}, "triangle");
+      same(detect::CliqueQuery{{u, w}}, "clique of three");
+      for (NodeId x = w + 1; x < 6; ++x) {
+        same(detect::CliqueQuery{{u, w, x}}, "clique of four");
+      }
+    }
+  }
+  // The node API's own edge case: a clique of self alone.
+  EXPECT_EQ(nodes[kIdle].query_clique({}), nodes[kEmptied].query_clique({}));
+  for (const detect::QueryKind kind : detector->info().listings) {
+    const auto idle = detector->list(sim, kIdle, kind);
+    const auto emptied = detector->list(sim, kEmptied, kind);
+    ASSERT_TRUE(idle.has_value() && emptied.has_value());
+    EXPECT_EQ(*idle, *emptied) << detect::to_string(kind);
+    EXPECT_TRUE(idle->empty()) << detect::to_string(kind);
+  }
+  EXPECT_EQ(nodes[kIdle].list_cliques(3), nodes[kEmptied].list_cliques(3));
 }
 
 }  // namespace
