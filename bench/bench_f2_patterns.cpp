@@ -116,9 +116,9 @@ int main(int argc, char** argv) {
       const auto& node =
           dynamic_cast<const core::Robust3HopNode&>(sim->node(v));
       for (const auto& pk : node.paths()) {
-        if (pk.len == 1) ++census.len1;
-        if (pk.len == 2) ++census.len2;
-        if (pk.len == 3) ++census.len3;
+        if (pk.length() == 1) ++census.len1;
+        if (pk.length() == 2) ++census.len2;
+        if (pk.length() == 3) ++census.len3;
       }
       const auto r3 = oracle::robust_3hop(sim->graph(), v);
       const auto known = node.known_edges();

@@ -32,7 +32,8 @@ void NaiveTwoHopNode::react_and_send(const net::NodeContext& ctx,
     out.declare_busy();
     const Pending item = queue_.front();
     queue_.pop_front();
-    for (NodeId u : view_.neighbors()) {
+    for (const auto& [u, t_vu] : view_.incident()) {
+      (void)t_vu;
       out.send(u, item.kind == EventKind::kInsert
                       ? net::WireMessage::edge_insert(item.edge)
                       : net::WireMessage::edge_delete(item.edge));

@@ -1,6 +1,8 @@
 #include "core/robust3hop.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <ranges>
 #include <utility>
 
 #include "common/check.hpp"
@@ -30,10 +32,9 @@ bool conflicts(const NodeId self, const Robust3HopNode::PendingView& a,
 /// path sorts after its extensions, inside the same range.
 std::pair<PathKey, PathKey> prefix_range(NodeId first, NodeId second) {
   if (second == kNoNode) {
-    return {PathKey{{first, 0, 0}, 0}, PathKey{{first + 1, 0, 0}, 0}};
+    return {PathKey{{first, 0, 0}}, PathKey{{first + 1, 0, 0}}};
   }
-  return {PathKey{{first, second, 0}, 0},
-          PathKey{{first, second + 1, 0}, 0}};
+  return {PathKey{{first, second, 0}}, PathKey{{first, second + 1, 0}}};
 }
 
 }  // namespace
@@ -86,11 +87,15 @@ void Robust3HopNode::enqueue_unique(const Pending& p) {
 
 void Robust3HopNode::add_path(std::span<const NodeId> hops) {
   DYNSUB_CHECK(!hops.empty() && hops.size() <= 3);
-  PathKey pk;
-  for (std::size_t j = 0; j < hops.size(); ++j) {
-    pk.hops[j] = hops[j];
-    pk.len = static_cast<std::uint8_t>(j + 1);
-    if (paths_.insert(pk)) ++edge_paths_[pk.last_edge(view_.self())];
+  // The path set is prefix-closed: every prefix of a stored path is stored
+  // too.  add_path keeps that by adding every prefix, and remove_paths_via
+  // keeps it because a path dies only together with its stored extensions.
+  // So the longest prefix goes in first, and the first prefix already
+  // present ends the walk, since its own prefixes are there as well.
+  for (std::size_t len = hops.size(); len > 0; --len) {
+    PathKey pk;
+    std::copy_n(hops.begin(), len, pk.hops.begin());
+    if (!paths_.insert(pk)) return;
   }
 }
 
@@ -102,15 +107,48 @@ void Robust3HopNode::remove_paths_via(Edge e, NodeId chain, NodeId via) {
   // it is visited.  A forwarded relay's range leaves out the 1-edge path
   // [chain], whose only edge {self, chain} touches self: receive_and_update
   // drops such relays before they get here.
+  //
+  // This keeps the set prefix-closed: when a path in the range contains e,
+  // so does every stored extension of it (an extension has the same edges
+  // and more), and every extension lies in the same range (it starts with
+  // the same hops, and a path of one hop is in the range only when via is
+  // kNoNode, whose range holds every path through `chain`).
   const NodeId root = view_.self();
   const auto [lo, hi] = prefix_range(chain, via);
-  paths_.erase_if(lo, hi, [&](const PathKey& pk) {
-    if (!pk.contains(root, e)) return false;
-    auto it = edge_paths_.find(pk.last_edge(root));
-    DYNSUB_CHECK(it != edge_paths_.end() && it->second > 0);
-    if (--it->second == 0) edge_paths_.erase(it);
+  paths_.erase_if(lo, hi,
+                  [&](const PathKey& pk) { return pk.contains(root, e); });
+}
+
+bool Robust3HopNode::has_edge(Edge e) const {
+  // Only a few key shapes can end in e, so look those up instead of
+  // scanning the set.  No stored path revisits v (receive_and_update drops
+  // such walks), so the only path that can end in an incident edge {v, u}
+  // is [u].
+  const NodeId v = view_.self();
+  if (e.touches(v)) {
+    return paths_.contains(PathKey{{e.other(v), kNoNode, kNoNode}});
+  }
+  const NodeId a = e.lo();
+  const NodeId b = e.hi();
+  if (paths_.contains(PathKey{{a, b, kNoNode}}) ||
+      paths_.contains(PathKey{{b, a, kNoNode}})) {
     return true;
-  });
+  }
+  // The 3-edge shapes [c, a, b] and [c, b, a], one first hop c at a time.
+  // Each step searches only c's range and then jumps past it, so the walk
+  // costs three searches per distinct first hop, whether or not c is still
+  // a neighbour.
+  const std::vector<PathKey>& keys = paths_.values();
+  for (auto it = keys.begin(); it != keys.end();) {
+    const NodeId c = it->hops[0];
+    const auto next = std::lower_bound(it, keys.end(), PathKey{{c + 1, 0, 0}});
+    if (std::binary_search(it, next, PathKey{{c, a, b}}) ||
+        std::binary_search(it, next, PathKey{{c, b, a}})) {
+      return true;
+    }
+    it = next;
+  }
+  return false;
 }
 
 void Robust3HopNode::react_and_send(const net::NodeContext& ctx,
@@ -229,7 +267,7 @@ void Robust3HopNode::receive_and_update(const net::NodeContext& ctx,
 
 net::Answer Robust3HopNode::query_edge(Edge e) const {
   if (!consistent_) return net::Answer::kInconsistent;
-  return edge_paths_.contains(e) ? net::Answer::kTrue : net::Answer::kFalse;
+  return has_edge(e) ? net::Answer::kTrue : net::Answer::kFalse;
 }
 
 net::Answer Robust3HopNode::query_cycle(
@@ -246,49 +284,62 @@ net::Answer Robust3HopNode::query_cycle(
   DYNSUB_CHECK_MSG(self_in_cycle, "query_cycle: self not on candidate cycle");
   for (std::size_t i = 0; i < cycle.size(); ++i) {
     const Edge e(cycle[i], cycle[(i + 1) % cycle.size()]);
-    if (!edge_paths_.contains(e)) return net::Answer::kFalse;
+    if (!has_edge(e)) return net::Answer::kFalse;
   }
   return net::Answer::kTrue;
 }
 
 FlatSet<Edge> Robust3HopNode::known_edges() const {
-  // edge_paths_ holds only non-zero counts and iterates in sorted key
-  // order, so this is a linear bulk build.
+  // Each stored path's last edge, deduplicated by the bulk build.
   std::vector<Edge> edges;
-  edges.reserve(edge_paths_.size());
-  for (const auto& entry : edge_paths_) edges.push_back(entry.first);
+  edges.reserve(paths_.size());
+  const NodeId v = view_.self();
+  for (const PathKey& pk : paths_) edges.push_back(pk.last_edge(v));
   return FlatSet<Edge>::from_unsorted(std::move(edges));
 }
 
 namespace {
 
-/// Adjacency over a set of edges, used for local cycle enumeration.
-FlatMap<NodeId, FlatSet<NodeId>> adjacency_of(const FlatSet<Edge>& edges) {
-  FlatMap<NodeId, FlatSet<NodeId>> adj;
-  for (const Edge& e : edges) {
-    adj[e.lo()].insert(e.hi());
-    adj[e.hi()].insert(e.lo());
+/// Adjacency over a set of edges, used for local cycle enumeration: both
+/// directions of every edge as sorted arcs (from << 32 | to), so the
+/// neighbours of x are one contiguous run of them.  Building it is one sort
+/// and one allocation, not a container per vertex.
+class Adjacency {
+ public:
+  explicit Adjacency(const FlatSet<Edge>& edges) {
+    arcs_.reserve(2 * edges.size());
+    for (const Edge& e : edges) {
+      arcs_.push_back(e.key());
+      arcs_.push_back((std::uint64_t{e.hi()} << 32) | e.lo());
+    }
+    std::sort(arcs_.begin(), arcs_.end());
   }
-  return adj;
-}
+
+  /// x's neighbours in ascending order: the low halves of x's arcs.
+  [[nodiscard]] auto neighbors(NodeId x) const {
+    const std::uint64_t from = std::uint64_t{x} << 32;
+    const auto first = std::lower_bound(arcs_.begin(), arcs_.end(), from);
+    const auto last = std::upper_bound(first, arcs_.end(), from | kNoNode);
+    return std::ranges::subrange(first, last) |
+           std::views::transform(
+               [](std::uint64_t arc) { return static_cast<NodeId>(arc); });
+  }
+
+ private:
+  std::vector<std::uint64_t> arcs_;
+};
 
 }  // namespace
 
 std::vector<oracle::Cycle4> Robust3HopNode::list_4cycles() const {
   const FlatSet<Edge> edges = known_edges();
-  const auto adj = adjacency_of(edges);
+  const Adjacency adj(edges);
   const NodeId v = view_.self();
   std::vector<oracle::Cycle4> out;
-  auto vit = adj.find(v);
-  if (vit == adj.end()) return out;
-  for (NodeId a : vit->second) {
-    auto ait = adj.find(a);
-    if (ait == adj.end()) continue;
-    for (NodeId b : ait->second) {
+  for (NodeId a : adj.neighbors(v)) {
+    for (NodeId b : adj.neighbors(a)) {
       if (b == v) continue;
-      auto bit = adj.find(b);
-      if (bit == adj.end()) continue;
-      for (NodeId c : bit->second) {
+      for (NodeId c : adj.neighbors(b)) {
         if (c == a || c == v) continue;
         if (!edges.contains(Edge(c, v))) continue;
         // Canonicalize v-a-b-c like oracle::all_4_cycles: rotate so the
@@ -314,23 +365,15 @@ std::vector<oracle::Cycle4> Robust3HopNode::list_4cycles() const {
 
 std::vector<oracle::Cycle5> Robust3HopNode::list_5cycles() const {
   const FlatSet<Edge> edges = known_edges();
-  const auto adj = adjacency_of(edges);
+  const Adjacency adj(edges);
   const NodeId v = view_.self();
   std::vector<oracle::Cycle5> out;
-  auto vit = adj.find(v);
-  if (vit == adj.end()) return out;
-  for (NodeId a : vit->second) {
-    auto ait = adj.find(a);
-    if (ait == adj.end()) continue;
-    for (NodeId b : ait->second) {
+  for (NodeId a : adj.neighbors(v)) {
+    for (NodeId b : adj.neighbors(a)) {
       if (b == v) continue;
-      auto bit = adj.find(b);
-      if (bit == adj.end()) continue;
-      for (NodeId c : bit->second) {
+      for (NodeId c : adj.neighbors(b)) {
         if (c == a || c == v) continue;
-        auto cit = adj.find(c);
-        if (cit == adj.end()) continue;
-        for (NodeId d : cit->second) {
+        for (NodeId d : adj.neighbors(c)) {
           if (d == b || d == a || d == v) continue;
           if (!edges.contains(Edge(d, v))) continue;
           std::array<NodeId, 5> cyc{v, a, b, c, d};

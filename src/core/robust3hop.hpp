@@ -47,11 +47,16 @@
 //    removal lets a stale relay from one chain erase fresh knowledge that
 //    arrived through another.
 //
-// Storage: one sorted set of PathKeys, ordered by hops.  Every path learned
-// through neighbor `chain` is one contiguous range of it, and every path
-// through `chain, via` a sub-range, so a deletion relay visits only the
-// paths it can kill.  A per-edge count of the paths ending in each edge
-// answers presence queries; an edge is in S~_v while its count is non-zero.
+// Storage: one sorted set of PathKeys, ordered by hops, and nothing else per
+// edge.  Every path learned through neighbor `chain` is one contiguous range
+// of it, and every path through `chain, via` a sub-range, so a deletion relay
+// visits only the paths it can kill.  The set is prefix-closed (see add_path
+// and remove_paths_via), and an edge is in S~_v exactly while some stored
+// path ends in it.  A presence query looks up the few key shapes that can
+// end in e rather than scanning: [u] when e = {v, u}; otherwise, for
+// e = {a, b}, [a, b], [b, a], and [c, a, b] / [c, b, a] for each distinct
+// first hop c, which it visits by jumping from one first hop's range to the
+// next.
 //
 // Consistency (paper's two-round rule): C_v is true only if for both round i
 // and round i-1 the node's queue stayed empty and no neighbor declared
@@ -72,19 +77,34 @@
 namespace dynsub::core {
 
 /// A v-rooted discovery path, stored as the sequence of hops after v.
-/// Hops past `len` are kNoNode, so the hops alone determine the key: the
-/// defaulted ordering compares them first, which keeps every path with a
-/// given first hop (and first two hops) contiguous in a sorted set.
+/// Hops past the path's length are kNoNode, so the hops alone are the key.
+/// Keys sort by their hops, which keeps every path with a given first hop
+/// (and first two hops) contiguous in a sorted set; kNoNode is the largest
+/// NodeId, so a path sorts after its extensions, inside the same range.
 struct PathKey {
   std::array<NodeId, 3> hops{kNoNode, kNoNode, kNoNode};
-  std::uint8_t len = 0;  // number of edges, 1..3
 
-  friend auto operator<=>(const PathKey&, const PathKey&) = default;
+  friend bool operator==(const PathKey&, const PathKey&) = default;
+  /// Lexicographic over the hops: the first two as one 64-bit word, then
+  /// the third.
+  friend bool operator<(const PathKey& x, const PathKey& y) {
+    const std::uint64_t hx = (std::uint64_t{x.hops[0]} << 32) | x.hops[1];
+    const std::uint64_t hy = (std::uint64_t{y.hops[0]} << 32) | y.hops[1];
+    return hx < hy || (hx == hy && x.hops[2] < y.hops[2]);
+  }
+
+  /// Number of edges (1..3 for a stored path): the hops before the first
+  /// kNoNode.
+  [[nodiscard]] std::size_t length() const {
+    std::size_t len = 0;
+    while (len < hops.size() && hops[len] != kNoNode) ++len;
+    return len;
+  }
 
   /// True when edge e is one of the path's edges (root is the owner node).
   [[nodiscard]] bool contains(NodeId root, Edge e) const {
     NodeId prev = root;
-    for (std::uint8_t j = 0; j < len; ++j) {
+    for (std::size_t j = 0; j < hops.size() && hops[j] != kNoNode; ++j) {
       if (Edge(prev, hops[j]) == e) return true;
       prev = hops[j];
     }
@@ -93,7 +113,9 @@ struct PathKey {
 
   /// The path's last edge, the one it is a discovery path of.
   [[nodiscard]] Edge last_edge(NodeId root) const {
-    return Edge(len >= 2 ? hops[len - 2] : root, hops[len - 1]);
+    if (hops[1] == kNoNode) return Edge(root, hops[0]);
+    if (hops[2] == kNoNode) return Edge(hops[0], hops[1]);
+    return Edge(hops[1], hops[2]);
   }
 };
 
@@ -195,6 +217,9 @@ class Robust3HopNode final : public net::NodeProgram {
   /// discovery path of its last edge.
   void add_path(std::span<const NodeId> hops);
 
+  /// True when some stored path ends in e, i.e. e is in S~_v.
+  [[nodiscard]] bool has_edge(Edge e) const;
+
   /// Drops every stored discovery path that traverses e and was learned
   /// through neighbor `chain` -- and, when via != kNoNode, whose second
   /// hop is `via` (relay-chain-scoped deletion; see the .cpp).
@@ -202,9 +227,8 @@ class Robust3HopNode final : public net::NodeProgram {
 
   Options options_;
   net::LocalView view_;
-  FlatSet<PathKey> paths_;                   // S_v, ordered by hops
-  FlatMap<Edge, std::uint32_t> edge_paths_;  // paths ending in each edge
-  Fifo<Pending> queue_;                      // Q_v
+  FlatSet<PathKey> paths_;  // S_v, ordered by hops, prefix-closed
+  Fifo<Pending> queue_;     // Q_v
   FlatSet<PendingKey> queued_keys_;
   bool consistent_ = true;
   bool busy_at_send_ = false;

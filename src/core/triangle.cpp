@@ -1,6 +1,7 @@
 #include "core/triangle.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.hpp"
 
@@ -204,11 +205,12 @@ net::Answer TriangleNode::query_edge(Edge e) const {
 std::vector<oracle::TrianglePartners> TriangleNode::list_triangles() const {
   std::vector<oracle::TrianglePartners> out;
   const State& s = state();
-  const auto nbrs = s.view.neighbors();
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-      if (s.knowledge.contains(Edge(nbrs[i], nbrs[j]))) {
-        out.push_back({nbrs[i], nbrs[j]});
+  // Neighbour pairs straight from the sorted incident map, with no copy.
+  const auto& incident = s.view.incident();
+  for (auto i = incident.begin(); i != incident.end(); ++i) {
+    for (auto j = std::next(i); j != incident.end(); ++j) {
+      if (s.knowledge.contains(Edge(i->first, j->first))) {
+        out.push_back({i->first, j->first});
       }
     }
   }
@@ -249,6 +251,8 @@ std::vector<std::vector<NodeId>> TriangleNode::list_cliques(int k) const {
   std::vector<std::vector<NodeId>> out;
   std::vector<NodeId> current;
   const State& s = state();
+  // The recursion builds a fresh candidate vector at every level anyway, so
+  // the top level's copy of the neighbour list costs no extra kind of work.
   const auto candidates = s.view.neighbors();
   extend_local_clique(s.knowledge, current, candidates,
                       static_cast<std::size_t>(k - 1), out);

@@ -13,6 +13,7 @@
 
 #include "alloc_counter.hpp"
 #include "common/rng.hpp"
+#include "core/robust3hop.hpp"
 #include "detect/registry.hpp"
 #include "detect/session.hpp"
 #include "net/workload.hpp"
@@ -177,6 +178,14 @@ TEST(DetectFootprintTest, FactoriesBuildTheStoreInConstantAllocations) {
     EXPECT_EQ(store->size(), kNodes) << entry.example;
     EXPECT_LE(allocations, kMaxAllocations) << entry.example;
   }
+}
+
+// A robust 3-hop program keeps its discovery paths as its only per-edge
+// state, in 12-byte keys of three hops; a per-node container added back
+// (a count per edge, say) grows the inline program past the bound.
+TEST(DetectFootprintTest, Robust3HopKeepsOnlyItsPathSet) {
+  EXPECT_EQ(sizeof(core::PathKey), 12u);
+  EXPECT_LE(sizeof(core::Robust3HopNode), 136u);
 }
 
 // A detector reaches its programs through one checked cast of the node

@@ -7,13 +7,19 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/audit.hpp"
 #include "core/robust3hop.hpp"
+#include "dynamics/flicker.hpp"
 #include "dynamics/random_churn.hpp"
 #include "dynamics/sessions.hpp"
+#include "net/faults.hpp"
+#include "oracle/subgraphs.hpp"
 #include "sim_test_util.hpp"
 
 namespace dynsub {
@@ -121,7 +127,7 @@ TEST(Robust3HopTest, PathTableRecordsPrefixes) {
   }
   ASSERT_EQ(ending_23.size(), 1u);
   const core::PathKey& pk = ending_23.front();
-  EXPECT_EQ(pk.len, 3);
+  EXPECT_EQ(pk.length(), 3u);
   EXPECT_EQ(pk.hops[0], 1u);
   EXPECT_EQ(pk.hops[1], 2u);
   EXPECT_EQ(pk.hops[2], 3u);
@@ -171,7 +177,7 @@ class ChainScopedDeletion : public ::testing::Test {
     std::vector<std::string> out;
     for (const core::PathKey& pk : node_.paths()) {
       std::string s;
-      for (std::uint8_t j = 0; j < pk.len; ++j) {
+      for (std::size_t j = 0; j < pk.length(); ++j) {
         if (j > 0) s += '-';
         s += std::to_string(pk.hops[j]);
       }
@@ -213,6 +219,145 @@ TEST_F(ChainScopedDeletion, ForwardedRelayKillsOnlyItsViaPaths) {
   EXPECT_EQ(paths(), (std::vector<std::string>{"1", "1-3", "1-4", "2", "2-3",
                                                "2-3-1"}));
   EXPECT_FALSE(node_.known_edges().contains(Edge(3, 4)));
+}
+
+// --------------------------------------------------- path-set invariants ----
+
+/// The path set is the node's only per-edge state, so its shape is checked
+/// directly, at every node after every round:
+///   (a) paths() is prefix-closed;
+///   (b) at a consistent node, query_edge(e) is kTrue exactly when e is in
+///       known_edges(), over every edge of G_i, every known edge and random
+///       absent pairs;
+///   (c) at a consistent node, query_cycle answers kTrue on a 4- or 5-cycle
+///       of G_i through the node exactly when the node lists it, and on
+///       every cycle the node lists.
+/// Returns the first violation.
+std::optional<std::string> path_set_violation(const net::Simulator& sim,
+                                              Rng& rng) {
+  const auto& g = sim.graph();
+  const auto truth4 = oracle::all_4_cycles(g);
+  const auto truth5 = oracle::all_5_cycles(g);
+  for (NodeId v = 0; v < sim.node_count(); ++v) {
+    const auto fail = [&](const auto&... what) {
+      std::ostringstream os;
+      os << "round " << sim.round() << " node " << v << ": ";
+      (os << ... << what);
+      return std::optional<std::string>(os.str());
+    };
+    const auto& node = dynamic_cast<const Robust3HopNode&>(sim.node(v));
+    const FlatSet<core::PathKey>& paths = node.paths();
+    for (const core::PathKey& pk : paths) {
+      const std::size_t len = pk.length();
+      if (len < 2) continue;
+      core::PathKey prefix = pk;
+      prefix.hops[len - 1] = kNoNode;
+      if (!paths.contains(prefix)) {
+        return fail("path ", pk.hops[0], '-', pk.hops[1], '-', pk.hops[2],
+                    " is stored without its prefix");
+      }
+    }
+    if (!sim.consistency()[v]) continue;
+
+    const FlatSet<Edge> known = node.known_edges();
+    const auto edge_disagrees = [&](Edge e) {
+      return (node.query_edge(e) == net::Answer::kTrue) != known.contains(e);
+    };
+    std::vector<Edge> probes;
+    for (const auto& [e, t] : g.edges()) {
+      (void)t;
+      probes.push_back(e);
+    }
+    probes.insert(probes.end(), known.begin(), known.end());
+    const auto n = static_cast<std::uint64_t>(sim.node_count());
+    for (int i = 0; i < 16; ++i) {
+      const auto a = static_cast<NodeId>(rng.next_below(n));
+      const auto b = static_cast<NodeId>(rng.next_below(n));
+      if (a != b && !g.has_edge(Edge(a, b))) probes.push_back(Edge(a, b));
+    }
+    for (const Edge& e : probes) {
+      if (edge_disagrees(e)) {
+        return fail("query_edge", e, " disagrees with known_edges()");
+      }
+    }
+
+    const auto cycle_violation = [&](const auto& truth, const auto& listed) {
+      const auto says_true = [&](const auto& c) {
+        return node.query_cycle(std::span<const NodeId>(c.v)) ==
+               net::Answer::kTrue;
+      };
+      for (const auto& c : truth) {
+        if (std::find(c.v.begin(), c.v.end(), v) == c.v.end()) continue;
+        if (says_true(c) !=
+            std::binary_search(listed.begin(), listed.end(), c)) {
+          return fail("query_cycle disagrees with the listing on a ",
+                      c.v.size(), "-cycle of G_i");
+        }
+      }
+      for (const auto& c : listed) {
+        if (!says_true(c)) {
+          return fail("a listed ", c.v.size(), "-cycle answers false");
+        }
+      }
+      return std::optional<std::string>();
+    };
+    if (auto err = cycle_violation(truth4, node.list_4cycles())) return err;
+    if (auto err = cycle_violation(truth5, node.list_5cycles())) return err;
+  }
+  return std::nullopt;
+}
+
+/// Drives `sim` through `wl`, checking the path set after every round.
+void run_checking_path_set(net::Simulator& sim, net::Workload& wl) {
+  Rng rng(0x3F3Fu);
+  run_audited(sim, wl, 5000, [&rng](const net::Simulator& s) {
+    return path_set_violation(s, rng);
+  });
+}
+
+TEST(Robust3HopPathSet, InvariantsHoldUnderRandomChurn) {
+  dynamics::RandomChurnParams cp;
+  cp.n = 20;
+  cp.target_edges = 36;
+  cp.max_changes = 6;
+  cp.rounds = 120;
+  cp.seed = 0x3A1u;
+  dynamics::RandomChurnWorkload wl(cp);
+  auto sim = make_sim(cp.n);
+  run_checking_path_set(sim, wl);
+}
+
+TEST(Robust3HopPathSet, InvariantsHoldUnderTheFlickerSchedule) {
+  // The Sec 1.3 adversary, three times over: triangle edges deleted and
+  // re-inserted a round later while junk insertions congest the queues.
+  net::ScriptedWorkload wl(
+      dynamics::make_repeated_flicker_scenario(12, 3).script);
+  auto sim = make_sim(12);
+  run_checking_path_set(sim, wl);
+}
+
+TEST(Robust3HopPathSet, InvariantsHoldThroughAKillLaneOutageAndRecovery) {
+  // Every batch of the one lane is lost in rounds 6..16; the engine marks
+  // the destinations degraded and recovers them with flicker churn.
+  net::FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 9;
+  plan.kill_lane = 0;
+  plan.kill_from = 6;
+  plan.kill_until = 16;
+  plan.max_retries = 1;
+  dynamics::RandomChurnParams cp;
+  cp.n = 24;
+  cp.target_edges = 48;
+  cp.max_changes = 4;
+  cp.rounds = 40;
+  cp.seed = 0xC4u;
+  dynamics::RandomChurnWorkload wl(cp);
+  net::Simulator sim(cp.n, net::store_of<Robust3HopNode>(),
+                     {.faults = plan});
+  run_checking_path_set(sim, wl);
+  EXPECT_GT(sim.metrics().transport().lost_batches, 0u);
+  EXPECT_GT(sim.metrics().transport().recovery_events, 0u);
 }
 
 // ----------------------------------------------------- property sweep ----
