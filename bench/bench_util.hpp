@@ -6,8 +6,10 @@
 // log-log slope of each curve so the growth shape is a number.  Sweep
 // points are independent simulations and run on a thread pool.
 //
-// All benches speak the same CLI:
+// All benches speak the same CLI, read with dynsub_run's argv grammar
+// (harness/engine_flags.hpp: "--flag value" or "--flag=value"):
 //   --quick         reduced sweep (CI smoke / fast local iteration)
+//   --seed / --threads / --shards   override the bench's defaults
 //   --json <path>   also write the results as a BENCH_<name>.json document
 //                   (schema in harness/json.hpp); bench/run_all.sh drives
 //                   every binary this way to feed the perf trajectory
@@ -113,76 +115,41 @@ struct BenchOptions {
   std::string json_path;
 };
 
-/// Parses the shared bench CLI; exits on --help or an unknown flag.
+/// Parses the shared bench CLI through the tools' argv grammar
+/// (harness::FlagReader), so "--threads 4" and "--threads=4" both work;
+/// exits 0 on --help and 2 on a bad flag or value.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
-  // Engine-flag values share their checks with the tools
-  // (harness/engine_flags.hpp); a bad value exits 2.
-  std::string error;
-  auto take = [&](auto parsed, auto& field, bool& has) {
-    if (!parsed) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-      std::exit(2);
+  harness::FlagReader args(argc, argv);
+  std::string why;  // the reason a value parser gives for refusing
+  const auto set = [&](auto parsed, auto& field, bool& has) {
+    if (parsed) {
+      field = *parsed;
+      has = true;
+    } else {
+      args.fail(why);
     }
-    field = *parsed;
-    has = true;
   };
-  auto parse_seed = [&](std::string_view text) {
-    take(harness::parse_seed_flag(text, &error), opts.seed, opts.has_seed);
-  };
-  auto parse_threads = [&](std::string_view text) {
-    take(harness::parse_threads_flag(text, &error), opts.threads,
-         opts.has_threads);
-  };
-  auto parse_shards = [&](std::string_view text) {
-    take(harness::parse_shards_flag(text, &error), opts.shards,
-         opts.has_shards);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
+  std::string_view v;
+  while (args.next()) {
+    if (args.flag("--quick")) {
       opts.quick = true;
-    } else if (arg == "--list") {
+    } else if (args.flag("--list")) {
       opts.list = true;
-    } else if (arg == "--shards") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --shards requires a value argument\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      parse_shards(argv[++i]);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      parse_shards(arg.substr(9));
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --threads requires a value argument\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      parse_threads(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      parse_threads(arg.substr(10));
-    } else if (arg == "--json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --json requires a path argument\n", argv[0]);
-        std::exit(2);
-      }
-      opts.json_path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opts.json_path = std::string(arg.substr(7));
-    } else if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --seed requires a value argument\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      parse_seed(argv[++i]);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      parse_seed(arg.substr(7));
-    } else if (arg == "--help" || arg == "-h") {
+    } else if (args.flag("--seed", &v)) {
+      set(harness::parse_seed_flag(v, &why), opts.seed, opts.has_seed);
+    } else if (args.flag("--threads", &v)) {
+      set(harness::parse_threads_flag(v, &why), opts.threads,
+          opts.has_threads);
+    } else if (args.flag("--shards", &v)) {
+      set(harness::parse_shards_flag(v, &why), opts.shards, opts.has_shards);
+    } else if (args.flag("--json", &v)) {
+      opts.json_path = v;
+    } else if (args.flag("--help") || args.flag("-h")) {
       std::printf("usage: %s [--quick] [--seed <u64>] [--threads <T>] "
-                  "[--json <path>] [--list]\n",
+                  "[--shards <S>] [--json <path>] [--list]\n",
                   argv[0]);
+      std::printf("  (every value may also be given as --flag=value)\n");
       std::printf("  --quick        run a reduced sweep (CI smoke)\n");
       std::printf("  --seed <u64>   override the bench's base seed (reruns\n");
       std::printf("                 with the same seed are bit-identical)\n");
@@ -197,10 +164,12 @@ inline BenchOptions parse_options(int argc, char** argv) {
       std::printf("  --list         describe what this bench measures, then exit\n");
       std::exit(0);
     } else {
-      std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n",
-                   argv[0], std::string(arg).c_str());
-      std::exit(2);
+      args.unknown();
     }
+  }
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], args.error().c_str());
+    std::exit(2);
   }
   return opts;
 }

@@ -53,10 +53,6 @@ int Robust3HopNode::PendingView::edges(NodeId self, Edge out[2]) const {
 }
 
 void Robust3HopNode::enqueue_unique(const Pending& p) {
-  if (!options_.queue_dedup) {
-    queue_.push_back(p);
-    return;
-  }
   // Duplicate suppression, made order-aware: a new item is redundant only
   // if an identical copy is already pending *and* nothing enqueued after
   // that copy touches the same edges -- the queue is a causal event log,

@@ -120,10 +120,6 @@ struct PathKey {
 };
 
 struct Robust3HopOptions {
-  /// Order-aware duplicate suppression in the pending queue (see
-  /// enqueue_unique).  Disabling it keeps the structure correct but allows
-  /// duplicate re-learn items to queue up.
-  bool queue_dedup = true;
   /// The paper re-forwards deletion relays while l <= 1, which lets one
   /// deletion fan in as Theta(deg) distinct (e, 2, via) items at a
   /// distance-2 node.  With relay-chain scoping those l = 2 relays can

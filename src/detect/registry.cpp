@@ -216,16 +216,8 @@ class Robust3HopDetector final : public DetectorBase {
   explicit Robust3HopDetector(core::Robust3HopOptions options)
       : options_(options) {
     info_.name = "robust3hop";
-    std::string spec = "robust3hop";
-    std::vector<std::string> params;
-    if (!options.queue_dedup) params.push_back("dedup=0");
-    if (options.paper_literal_l2_forward) params.push_back("l2=1");
-    if (!params.empty()) {
-      spec += "(" + params[0];
-      for (std::size_t i = 1; i < params.size(); ++i) spec += ", " + params[i];
-      spec += ")";
-    }
-    info_.spec = std::move(spec);
+    info_.spec = options.paper_literal_l2_forward ? "robust3hop(l2=1)"
+                                                  : "robust3hop";
     info_.problem = ProblemKind::kRobust3Hop;
     info_.summary =
         "Thms 6/5: robust 3-hop neighborhood and 4-/5-cycle listing, O(1) "
@@ -437,7 +429,6 @@ std::unique_ptr<Detector> build_robust3hop(const SpecNode& node,
   Params p(node, error, "detector");
   if (!forbid_children(node, p)) return nullptr;
   core::Robust3HopOptions options;
-  options.queue_dedup = p.u64("dedup", 1) != 0;
   options.paper_literal_l2_forward = p.u64("l2", 0) != 0;
   if (!p.finish()) return nullptr;
   return std::make_unique<Robust3HopDetector>(options);
@@ -489,7 +480,7 @@ const DetectorEntry kEntries[] = {
      build_robust2hop},
     {"robust3hop", DetectorKind::kCore, ProblemKind::kRobust3Hop,
      "Thms 6/5: robust 3-hop neighborhood and 4-/5-cycle listing",
-     "robust3hop(dedup=1, l2=0)", build_robust3hop},
+     "robust3hop(l2=0)", build_robust3hop},
     {"naive2hop", DetectorKind::kBaseline, ProblemKind::kNaive2Hop,
      "Sec 1.3 strawman: timestamp-free 2-hop tracking", "naive2hop",
      build_naive2hop},

@@ -6,7 +6,7 @@
 //   * detectors -- the core structures of src/core/ and the baselines of
 //                  src/baseline/, each with strict typed parameters in the
 //                  scenario spec grammar (e.g. `triangle(k=4)`,
-//                  `flood(radius=3)`, `robust3hop(dedup=0)`),
+//                  `flood(radius=3)`, `robust3hop(l2=0)`),
 //   * aliases   -- short names expanding to a parameterized spec
 //                  (`flood2` == `flood(radius=2)`), kept for CLI
 //                  compatibility and symmetry with scenario composites.

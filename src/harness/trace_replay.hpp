@@ -1,7 +1,7 @@
-// Opening a Session that replays a recorded event trace: the --replay
-// path of dynsub_run and dynsub_serve.
+// Opening a Session that replays a recorded event trace: dynsub_run's
+// --replay path, with or without a request mode.
 //
-// Traces those tools record carry "# n=<count>" in their header, so a
+// Traces dynsub_run records carry "# n=<count>" in their header, so a
 // replay reproduces the exact simulator size (idle top ids included)
 // without the user re-supplying --n; the record/replay byte-equality
 // contract depends on it.  A header that disagrees with the trace body or

@@ -13,10 +13,10 @@
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/edge.hpp"
 #include "common/types.hpp"
 
@@ -28,41 +28,20 @@ namespace dynsub::net {
 /// Bits needed to name one node among n.
 [[nodiscard]] std::size_t node_id_bits(std::size_t n);
 
-/// Byte payload with small-buffer optimization.
+/// Byte payload of a snapshot chunk: a fixed 16-byte buffer plus its
+/// length, so a WireMessage is trivially copyable and copying one through
+/// the router never touches the heap.
 ///
-/// Any bandwidth-legal snapshot chunk fits a handful of bytes (the chunk is
-/// bounded by bandwidth_bits(n) < 128 bits for every practical n), so the
-/// common case lives in the 16 inline bytes and copying a WireMessage
-/// through the router never touches the heap.  Oversized payloads (only
-/// ever constructed by tests probing the budget assertion) spill to a heap
-/// block.
+/// Any bandwidth-legal chunk fits: payload_bits() charges 3 + 2*id + aux2
+/// bits against bandwidth_bits(n) = 4*id + 16, so a chunk carries at most
+/// 2*ceil(log2 n) + 13 bits -- 10 bytes for 32-bit node ids.  Asking for
+/// more than kCapacity bytes is a CHECK failure, and the wire decoder
+/// rejects a longer claimed length before it touches the buffer.
 class SmallBlob {
  public:
-  static constexpr std::size_t kInlineBytes = 16;
+  static constexpr std::size_t kCapacity = 16;
 
   SmallBlob() = default;
-  SmallBlob(const SmallBlob& o) { assign(o.bytes()); }
-  SmallBlob(SmallBlob&& o) noexcept
-      : size_(o.size_),
-        inline_(o.inline_),
-        heap_(std::move(o.heap_)),
-        heap_capacity_(o.heap_capacity_) {
-    o.size_ = 0;
-    o.heap_capacity_ = 0;
-  }
-  SmallBlob& operator=(const SmallBlob& o) {
-    if (this != &o) assign(o.bytes());
-    return *this;
-  }
-  SmallBlob& operator=(SmallBlob&& o) noexcept {
-    size_ = o.size_;
-    inline_ = o.inline_;
-    heap_ = std::move(o.heap_);
-    heap_capacity_ = o.heap_capacity_;
-    o.size_ = 0;
-    o.heap_capacity_ = 0;
-    return *this;
-  }
   SmallBlob(std::span<const std::uint8_t> bytes) { assign(bytes); }
   SmallBlob(const std::vector<std::uint8_t>& bytes) {
     assign(std::span<const std::uint8_t>(bytes));
@@ -79,35 +58,28 @@ class SmallBlob {
 
   /// Resizes without preserving contents (callers overwrite immediately).
   void resize(std::size_t count) {
-    if (count > kInlineBytes && count > heap_capacity_) {
-      heap_ = std::make_unique<std::uint8_t[]>(count);
-      heap_capacity_ = count;
-    }
-    size_ = static_cast<std::uint32_t>(count);
+    DYNSUB_CHECK(count <= kCapacity);
+    size_ = static_cast<std::uint8_t>(count);
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::uint8_t* data() {
-    return size_ <= kInlineBytes ? inline_.data() : heap_.get();
-  }
-  [[nodiscard]] const std::uint8_t* data() const {
-    return size_ <= kInlineBytes ? inline_.data() : heap_.get();
-  }
+  [[nodiscard]] std::uint8_t* data() { return bytes_.data(); }
+  [[nodiscard]] const std::uint8_t* data() const { return bytes_.data(); }
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
-    return {data(), size_};
+    return {bytes_.data(), size_};
   }
 
+  /// Compares the first size() bytes only: resize() leaves stale bytes
+  /// past the end.
   friend bool operator==(const SmallBlob& a, const SmallBlob& b) {
     return a.size_ == b.size_ &&
            std::memcmp(a.data(), b.data(), a.size_) == 0;
   }
 
  private:
-  std::uint32_t size_ = 0;
-  std::array<std::uint8_t, kInlineBytes> inline_{};
-  std::unique_ptr<std::uint8_t[]> heap_;
-  std::size_t heap_capacity_ = 0;
+  std::array<std::uint8_t, kCapacity> bytes_{};
+  std::uint8_t size_ = 0;
 };
 
 struct WireMessage {
@@ -142,7 +114,7 @@ struct WireMessage {
   std::uint8_t ttl = 0;       // kPathDelete / kNotice hop budget
   std::uint32_t aux = 0;   // kSnapshotChunk: chunk index
   std::uint32_t aux2 = 0;  // kSnapshotChunk: bit count in blob
-  SmallBlob blob;          // kSnapshotChunk payload (inline for legal sizes)
+  SmallBlob blob;          // kSnapshotChunk payload
 
   /// Exact size charged against the per-link budget.
   [[nodiscard]] std::size_t payload_bits(std::size_t n) const;

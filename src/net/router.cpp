@@ -105,6 +105,9 @@ bool decode_message(Reader& r, WireMessage* m) {
   if (!r.read_u32(&m->aux) || !r.read_u32(&m->aux2) || !r.read_u32(&blob_len)) {
     return false;
   }
+  // The claimed length is bounded before it sizes anything: a CRC-valid
+  // frame can still carry a length no legal chunk has.
+  if (blob_len > SmallBlob::kCapacity) return false;
   m->blob.resize(blob_len);
   return r.read_bytes(m->blob.data(), blob_len);
 }
@@ -433,7 +436,7 @@ bool Router::decode_lane(std::span<const std::uint8_t> bytes,
     Inbox::Item item{};
     if (!r.read_u32(&dst) || !r.read_u32(&item.from) ||
         !decode_message(r, &item.msg)) {
-      return fail(error, "lane batch: truncated payload section");
+      return fail(error, "lane batch: malformed payload entry");
     }
     batch->payloads.emplace_back(dst, std::move(item));
   }

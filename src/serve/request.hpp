@@ -7,8 +7,9 @@
 // the serve loop only answers at round barriers, so an answer is exact as
 // of that round, never torn across rounds.
 //
-// The scripted front end (RequestScript) is how CI and tests drive the
-// daemon deterministically: a plain-text file schedules requests by round,
+// The scripted front end (RequestScript, read by `dynsub_run --requests`)
+// is how CI and tests drive the serve loop deterministically: a plain-text
+// file schedules requests by round,
 //
 //     # round-scheduled requests; rounds non-decreasing
 //     @3 query 0 edge 0:1
@@ -114,7 +115,8 @@ struct RequestScript {
     const std::string& text, std::string* error = nullptr);
 
 /// Parses one request body (the part after "@<round> "), shared by the
-/// script parser and dynsub_serve's stdin line protocol.  Examples:
+/// script parser and the stdin line protocol of `dynsub_run --stdin`.
+/// Examples:
 ///   "query 0 edge 0:1", "list 2 triangle", "audit".
 [[nodiscard]] std::optional<Request> parse_request_line(
     const std::string& line, std::string* error = nullptr);

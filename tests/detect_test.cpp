@@ -103,6 +103,7 @@ TEST(DetectRegistryTest, ParamsAreStrictlyTyped) {
       "flood(radius=7)",       // above range
       "flood2(radius=2)",      // aliases take no parameters
       "robust2hop(k=3)",       // parameterless detector
+      "robust3hop(dedup=0)",   // duplicate suppression is not a knob
       "triangle(k=4, churn)",  // detectors take no children
       "triangle(",             // grammar error
   };
@@ -132,7 +133,7 @@ TEST(DetectRegistryTest, FuzzMutatedSpecsNeverCrashTheRegistry) {
   for (const auto& entry : detect::detector_catalog()) {
     seeds.push_back(entry.example);
   }
-  seeds.emplace_back("robust3hop(dedup=0, l2=1)");
+  seeds.emplace_back("robust3hop(l2=1)");
   seeds.emplace_back("triangle(k=16)");
 
   Rng rng(0xDE7EC7F);

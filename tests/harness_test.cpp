@@ -1,5 +1,6 @@
 // Unit tests for the experiment harness: summaries, series rendering,
-// slope estimation, and the parallel sweep runner.
+// slope estimation, the parallel sweep runner, and the argv grammar and
+// flag value parsers of the command-line front ends.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,8 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/robust2hop.hpp"
 #include "harness/engine_flags.hpp"
@@ -95,8 +98,108 @@ TEST(HarnessTest, ParallelForZeroCountIsNoop) {
   parallel_for(0, [&](std::size_t) { FAIL() << "must not be called"; });
 }
 
-// The engine-flag value parsers shared by dynsub_run, dynsub_serve and the
-// bench CLI: boundaries, strictness, and a reason that names the flag.
+// The one argv grammar (FlagReader) dynsub_run and every bench read their
+// flags with.  read_flags() is a front end taking --n and --json values
+// and the --names-only and --quick switches.
+struct ReadFlags {
+  std::string n;
+  std::string json;
+  bool names_only = false;
+  bool quick = false;
+  std::string error;
+};
+
+ReadFlags read_flags(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "prog");
+  FlagReader args(static_cast<int>(argv.size()), argv.data());
+  ReadFlags out;
+  std::string_view v;
+  while (args.next()) {
+    if (args.flag("--n", &v)) {
+      out.n = v;
+    } else if (args.flag("--json", &v)) {
+      out.json = v;
+    } else if (args.flag("--names-only")) {
+      out.names_only = true;
+    } else if (args.flag("--quick")) {
+      out.quick = true;
+    } else {
+      args.unknown();
+    }
+  }
+  out.error = args.error();
+  return out;
+}
+
+TEST(FlagGrammarTest, SpaceAndEqualsFormsReadTheSameValue) {
+  const ReadFlags spaced = read_flags({"--n", "5", "--json", "a.json"});
+  const ReadFlags joined = read_flags({"--n=5", "--json=a.json"});
+  for (const ReadFlags& r : {spaced, joined}) {
+    EXPECT_EQ(r.error, "");
+    EXPECT_EQ(r.n, "5");
+    EXPECT_EQ(r.json, "a.json");
+  }
+  // "--name value" takes the next argument whatever it looks like, and
+  // "--name=" is an empty value, not a missing one.
+  EXPECT_EQ(read_flags({"--json", "--quick"}).json, "--quick");
+  const ReadFlags empty = read_flags({"--json=", "--quick"});
+  EXPECT_EQ(empty.error, "");
+  EXPECT_EQ(empty.json, "");
+  EXPECT_TRUE(empty.quick);
+}
+
+TEST(FlagGrammarTest, MissingValueIsAnErrorNamingTheFlag) {
+  const ReadFlags r = read_flags({"--quick", "--json"});
+  EXPECT_TRUE(r.quick);
+  EXPECT_EQ(r.error, "--json requires a value");
+  EXPECT_EQ(read_flags({"--n"}).error, "--n requires a value");
+}
+
+TEST(FlagGrammarTest, NamesMatchExactly) {
+  // "--n" is a prefix of "--names-only"; neither may read as the other.
+  const ReadFlags names = read_flags({"--names-only"});
+  EXPECT_EQ(names.error, "");
+  EXPECT_TRUE(names.names_only);
+  EXPECT_EQ(names.n, "");
+  const ReadFlags n = read_flags({"--n=5"});
+  EXPECT_EQ(n.error, "");
+  EXPECT_FALSE(n.names_only);
+  EXPECT_EQ(n.n, "5");
+  EXPECT_EQ(read_flags({"--n5"}).error,
+            "unknown argument '--n5' (try --help)");
+  EXPECT_EQ(read_flags({"--names"}).error,
+            "unknown argument '--names' (try --help)");
+  // A switch takes no value.
+  EXPECT_EQ(read_flags({"--quick=1"}).error,
+            "unknown argument '--quick=1' (try --help)");
+}
+
+TEST(FlagGrammarTest, TheFirstErrorEndsTheWalk) {
+  const ReadFlags r = read_flags({"--bogus", "--json"});
+  EXPECT_EQ(r.error, "unknown argument '--bogus' (try --help)");
+  const char* argv[] = {"prog", "--quick", "--quick"};
+  FlagReader args(3, argv);
+  ASSERT_TRUE(args.next());
+  args.fail("first");
+  args.fail("second");
+  EXPECT_EQ(args.error(), "first");
+  EXPECT_FALSE(args.next());
+}
+
+TEST(FlagGrammarTest, StrictUnsignedIntegers) {
+  std::string error;
+  EXPECT_EQ(parse_u64_flag("--n", "1000", &error),
+            std::optional<std::uint64_t>{1000});
+  EXPECT_EQ(parse_u64_flag("--n", "10O0", &error), std::nullopt);
+  EXPECT_EQ(error, "--n wants an unsigned integer, got '10O0'");
+  EXPECT_EQ(parse_u64_flag("--max-rounds", "-1", &error), std::nullopt);
+  EXPECT_EQ(error, "--max-rounds wants an unsigned integer, got '-1'");
+  EXPECT_EQ(parse_u64_flag("--tick-ns", "", &error), std::nullopt);
+  EXPECT_EQ(error, "--tick-ns wants an unsigned integer, got ''");
+}
+
+// The engine-flag value parsers shared by dynsub_run and the bench CLI:
+// boundaries, strictness, and a reason that names the flag.
 TEST(EngineFlagsTest, ThreadsTakeZeroThrough256) {
   std::string error;
   EXPECT_EQ(parse_threads_flag("0", &error), std::optional<std::size_t>{0});

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/triangle.hpp"
@@ -65,23 +66,38 @@ TEST(MessageTest, PathInsertEncoding) {
   EXPECT_EQ(m.nodes[2], 4u);
 }
 
-TEST(MessageTest, SmallBlobInlineAndHeap) {
+TEST(MessageTest, SmallBlobInline) {
   SmallBlob b;
   EXPECT_TRUE(b.empty());
-  b.assign(3, 0xab);  // inline path
+  b.assign(3, 0xab);
   EXPECT_EQ(b.size(), 3u);
   EXPECT_EQ(b.data()[2], 0xab);
-  SmallBlob big;
-  big.assign(100, 0x5a);  // heap spill (only over-budget tests do this)
-  EXPECT_EQ(big.size(), 100u);
-  EXPECT_EQ(big.data()[99], 0x5a);
-  SmallBlob copy = big;
-  EXPECT_TRUE(copy == big);
-  SmallBlob moved = std::move(big);
-  EXPECT_EQ(moved.size(), 100u);
-  EXPECT_TRUE(moved == copy);
-  moved.assign(2, 1);
-  EXPECT_FALSE(moved == copy);
+  SmallBlob full;
+  full.assign(SmallBlob::kCapacity, 0x5a);
+  EXPECT_EQ(full.size(), SmallBlob::kCapacity);
+  EXPECT_EQ(full.data()[SmallBlob::kCapacity - 1], 0x5a);
+  SmallBlob copy = full;
+  EXPECT_TRUE(copy == full);
+  copy.assign(2, 1);
+  EXPECT_FALSE(copy == full);
+  // Equality reads only the live bytes, not what a shrink left behind.
+  SmallBlob fresh;
+  fresh.assign(2, 1);
+  EXPECT_TRUE(copy == fresh);
+}
+
+// The blob lives inside the message, so a WireMessage copies as plain
+// bytes and a routed Inbox::Item stays small.
+TEST(MessageTest, WireMessageIsTriviallyCopyableAndSmall) {
+  static_assert(std::is_trivially_copyable_v<WireMessage>);
+  EXPECT_LE(sizeof(WireMessage), 52u);
+  EXPECT_LE(sizeof(Inbox::Item), 56u);
+}
+
+TEST(MessageTest, SmallBlobOverflowAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SmallBlob b;
+  EXPECT_DEATH(b.resize(SmallBlob::kCapacity + 1), "kCapacity");
 }
 
 // ---------------------------------------------------------- LocalView ----
@@ -220,7 +236,6 @@ TEST(SimulatorTest, BandwidthOverrunAborts) {
         m.kind = WireMessage::Kind::kSnapshotChunk;
         m.nodes[0] = self_;
         m.aux2 = 100000;  // way over budget
-        m.blob.assign(100000 / 8, 0xff);
         out.send(ev.edge.other(self_), std::move(m));
       }
     }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -313,7 +314,6 @@ TEST(RouterTest, BandwidthOverrunAborts) {
         WireMessage m;
         m.kind = WireMessage::Kind::kSnapshotChunk;
         m.aux2 = 100000;  // way over budget
-        m.blob.assign(100000 / 8, 0xff);
         Outbox out;
         out.send(1, std::move(m));
         r.stage_outbox(0, 0, out, g);
@@ -521,6 +521,59 @@ TEST(LaneBatchTest, EveryTruncatedPrefixRejectsCleanly) {
   longer.push_back(0);
   EXPECT_FALSE(Router::decode_lane(longer, &batch, &error));
   EXPECT_NE(error.find("trailing"), std::string::npos);
+}
+
+TEST(LaneBatchTest, OversizedBlobLengthIsRejectedBeforeAllocating) {
+  // The CRC only vouches that a frame arrived as it was sent, so a frame
+  // can pass it and still claim a snapshot-chunk blob no legal chunk has.
+  // Decode must refuse the claimed length before anything is sized by it.
+  const std::size_t n = 6;
+  const auto g = complete_graph(n);
+  Router r(n, 1);
+  r.begin_round(1);
+  WireMessage chunk;
+  chunk.kind = WireMessage::Kind::kSnapshotChunk;
+  chunk.nodes[0] = 0;
+  chunk.aux2 = 8;
+  chunk.blob.assign(1, 0x5a);
+  Outbox out;
+  out.send(1, std::move(chunk));
+  r.stage_outbox(0, 0, out, g);
+  std::vector<std::uint8_t> wire;
+  r.encode_lane(0, wire);
+  // Header, then dst, from, kind/path_len/ttl, 4 node ids, aux, aux2, the
+  // blob length and the one blob byte.
+  constexpr std::size_t kBlobLenAt =
+      LaneBatchHeader::kWireBytes + 4 + 4 + 3 + 16 + 4 + 4;
+  ASSERT_EQ(wire.size(), kBlobLenAt + 4 + 1);
+  LaneBatch batch;
+  std::string error;
+  ASSERT_TRUE(Router::decode_lane(wire, &batch, &error)) << error;
+
+  const auto put_u32_at = [](std::vector<std::uint8_t>& bytes,
+                             std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  for (const std::uint32_t claimed :
+       {std::uint32_t{SmallBlob::kCapacity + 1}, std::uint32_t{200'000'000},
+        ~std::uint32_t{0}}) {
+    auto forged = wire;
+    put_u32_at(forged, kBlobLenAt, claimed);
+    put_u32_at(forged, LaneBatchHeader::kCrcOffset, 0);
+    put_u32_at(forged, LaneBatchHeader::kCrcOffset, crc32c(forged));
+    bool accepted = true;
+    std::size_t bytes = 0;
+    {
+      testing::AllocationCounter counter;
+      accepted = Router::decode_lane(forged, &batch, &error);
+      bytes = counter.bytes();
+    }
+    EXPECT_FALSE(accepted) << "claimed blob length " << claimed;
+    EXPECT_NE(error.find("payload"), std::string::npos) << error;
+    EXPECT_LT(bytes, 1024u) << "claimed blob length " << claimed;
+  }
 }
 
 TEST(LaneBatchTest, EverySingleBitFlipIsRejected) {

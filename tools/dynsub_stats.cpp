@@ -1,5 +1,5 @@
 // dynsub_stats -- summarize a telemetry JSONL stream (dynsub_run
-// --telemetry, dynsub_serve --serve-jsonl) into the story a human wants
+// --telemetry or --serve-jsonl) into the story a human wants
 // from a run:
 //
 //   * totals and final amortized / amortized-sup,

@@ -2,6 +2,8 @@
 # Registry smoke: runs every registered scenario at quick scale, runs one
 # scenario through every registered detector, then records one composite's
 # trace and replays it, asserting the RunSummary JSON is byte-identical.
+# The serve leg drives the same binary's --requests mode: the answer
+# stream must be byte-identical across replay, --threads and --shards.
 # Also exercises the telemetry subsystem: the --telemetry JSONL channel
 # must be byte-identical across record/replay and thread counts, and the
 # --chrome-trace export must be valid JSON with per-lane tracks (copied to
@@ -314,13 +316,11 @@ if [[ -x "$STATS" ]]; then
   echo "dynsub_stats accepted the shard JSONL"
 fi
 
-echo "== serve layer =="
-SERVE="$(dirname "$BIN")/dynsub_serve"
-if [[ -x "$SERVE" ]]; then
-  # Scripted requests against live churn under the simulated clock: the
-  # answer stream is a pure function of (scenario, script, config), so it
-  # must be byte-identical across record/replay and across --threads 4.
-  cat > "$TMP/req.script" <<'EOF'
+echo "== serve layer (--requests) =="
+# Scripted requests against live churn under the simulated clock: the
+# answer stream is a pure function of (scenario, script, config), so it
+# must be byte-identical across record/replay and across --threads 4.
+cat > "$TMP/req.script" <<'EOF'
 # smoke request schedule
 @3 query 0 edge 0:1
 @5 query 4 triangle 2 7
@@ -329,52 +329,52 @@ if [[ -x "$SERVE" ]]; then
 @25 query 1 cycle 2 3 4 5
 @30 audit
 EOF
-  "$SERVE" --scenario multi-community-churn --quick \
-    --requests "$TMP/req.script" --record "$TMP/s.trace" \
-    --answers "$TMP/ans_a.txt" --serve-jsonl "$TMP/serve_a.jsonl" \
-    2> "$TMP/serve_a.err"
-  grep -q '^settled:    yes' "$TMP/serve_a.err" || {
-    echo "scenario_smoke.sh: serve run did not settle" >&2
-    cat "$TMP/serve_a.err" >&2
-    exit 1
-  }
-  "$SERVE" --replay "$TMP/s.trace" --requests "$TMP/req.script" \
-    --answers "$TMP/ans_b.txt" 2> /dev/null
-  cmp "$TMP/ans_a.txt" "$TMP/ans_b.txt" || {
-    echo "scenario_smoke.sh: replayed answer stream differs" >&2
-    exit 1
-  }
-  "$SERVE" --scenario multi-community-churn --quick --threads 4 \
-    --requests "$TMP/req.script" --answers "$TMP/ans_c.txt" 2> /dev/null
-  cmp "$TMP/ans_a.txt" "$TMP/ans_c.txt" || {
-    echo "scenario_smoke.sh: threads=4 answer stream differs" >&2
-    exit 1
-  }
-  echo "serve answer stream byte-identical across replay and --threads 4"
+"$BIN" --scenario multi-community-churn --quick \
+  --requests "$TMP/req.script" --record "$TMP/s.trace" \
+  --answers "$TMP/ans_a.txt" --serve-jsonl "$TMP/serve_a.jsonl" \
+  2> "$TMP/serve_a.err"
+grep -q '^settled:    yes' "$TMP/serve_a.err" || {
+  echo "scenario_smoke.sh: serve run did not settle" >&2
+  cat "$TMP/serve_a.err" >&2
+  exit 1
+}
+"$BIN" --replay "$TMP/s.trace" --requests "$TMP/req.script" \
+  --answers "$TMP/ans_b.txt" 2> /dev/null
+cmp "$TMP/ans_a.txt" "$TMP/ans_b.txt" || {
+  echo "scenario_smoke.sh: replayed answer stream differs" >&2
+  exit 1
+}
+"$BIN" --scenario multi-community-churn --quick --threads 4 \
+  --requests "$TMP/req.script" --answers "$TMP/ans_c.txt" 2> /dev/null
+cmp "$TMP/ans_a.txt" "$TMP/ans_c.txt" || {
+  echo "scenario_smoke.sh: threads=4 answer stream differs" >&2
+  exit 1
+}
+echo "serve answer stream byte-identical across replay and --threads 4"
 
-  # The shard engine serves the same bytes: snapshots are taken at the
-  # round barrier after the cross-shard frame exchange, so the answer
-  # stream -- latencies included -- must not change with --shards.
-  for s in 2 4; do
-    "$SERVE" --scenario multi-community-churn --quick --shards "$s" \
-      --requests "$TMP/req.script" --answers "$TMP/ans_s$s.txt" 2> /dev/null
-    cmp "$TMP/ans_a.txt" "$TMP/ans_s$s.txt" || {
-      echo "scenario_smoke.sh: shards=$s answer stream differs" >&2
-      exit 1
-    }
-  done
-  echo "serve answer stream byte-identical across --shards 2 and 4"
+# The shard engine serves the same bytes: snapshots are taken at the
+# round barrier after the cross-shard frame exchange, so the answer
+# stream -- latencies included -- must not change with --shards.
+for s in 2 4; do
+  "$BIN" --scenario multi-community-churn --quick --shards "$s" \
+    --requests "$TMP/req.script" --answers "$TMP/ans_s$s.txt" 2> /dev/null
+  cmp "$TMP/ans_a.txt" "$TMP/ans_s$s.txt" || {
+    echo "scenario_smoke.sh: shards=$s answer stream differs" >&2
+    exit 1
+  }
+done
+echo "serve answer stream byte-identical across --shards 2 and 4"
 
-  # The serve JSONL is a strict schema surface: dynsub_stats must accept
-  # it, and an independent key check guards the guard.
-  if [[ -x "$STATS" ]]; then
-    "$STATS" "$TMP/serve_a.jsonl" > /dev/null || {
-      echo "scenario_smoke.sh: dynsub_stats rejected the serve JSONL" >&2
-      exit 1
-    }
-    echo "dynsub_stats accepted the serve JSONL"
-  fi
-  python3 - "$TMP/serve_a.jsonl" <<'EOF'
+# The serve JSONL is a strict schema surface: dynsub_stats must accept
+# it, and an independent key check guards the guard.
+if [[ -x "$STATS" ]]; then
+  "$STATS" "$TMP/serve_a.jsonl" > /dev/null || {
+    echo "scenario_smoke.sh: dynsub_stats rejected the serve JSONL" >&2
+    exit 1
+  }
+  echo "dynsub_stats accepted the serve JSONL"
+fi
+python3 - "$TMP/serve_a.jsonl" <<'EOF'
 import json, sys
 KEYS = ["req", "kind", "status", "node", "round", "arrival_round",
         "arrival_ns", "answer_ns", "latency_ns", "answer", "list_count",
@@ -393,76 +393,90 @@ if count == 0:
 print(f"serve JSONL schema ok ({count} answer records)")
 EOF
 
-  # Every detector answers every verb: a query, a list and an audit each
-  # get one answer line (a shape the detector does not serve answers
-  # inconsistent with a reason), and no request may crash the daemon --
-  # the robust 3-hop audits read G_{i-1}.
-  printf '@3 query 0 edge 0:1\n@5 list 0 triangle\n@8 audit\n' \
-    > "$TMP/verbs.script"
-  vcount=0
-  while IFS= read -r detector; do
-    [[ -n "$detector" ]] || continue
-    "$SERVE" --scenario 'churn(n=16, rounds=10, seed=1)' \
-      --detector "$detector" --requests "$TMP/verbs.script" \
-      --answers "$TMP/ans_verbs.txt" 2> "$TMP/serve_verbs.err" || {
-      echo "scenario_smoke.sh: dynsub_serve failed on detector '$detector'" >&2
-      cat "$TMP/serve_verbs.err" >&2
-      exit 1
-    }
-    answered=$(grep -c '^req=' "$TMP/ans_verbs.txt" || true)
-    if [[ "$answered" -ne 3 ]]; then
-      echo "scenario_smoke.sh: detector '$detector' gave $answered answer" \
-        "line(s), want 3" >&2
-      cat "$TMP/ans_verbs.txt" >&2
-      exit 1
-    fi
-    vcount=$((vcount + 1))
-  done < <("$BIN" --list-detectors)
-  echo "query, list and audit answered under all $vcount detector(s)"
-
-  # Chaos leg: a lane outage mid-run must surface as kInconsistent answers
-  # at the degraded nodes (the model's honest "cannot say"), and the same
-  # nodes must answer definitively once the network re-converges.
-  : > "$TMP/chaos.script"
-  for v in $(seq 0 15); do
-    echo "@5 query $v edge $v:$(( (v + 1) % 16 ))" >> "$TMP/chaos.script"
-  done
-  for v in $(seq 0 15); do
-    echo "@80 query $v edge $v:$(( (v + 1) % 16 ))" >> "$TMP/chaos.script"
-  done
-  "$SERVE" --scenario 'churn(n=16, rounds=30, seed=9)' --threads 2 \
-    --faults 'chaos(seed=7, kill_lane=0, kill_from=3, kill_until=6)' \
-    --requests "$TMP/chaos.script" --answers "$TMP/ans_chaos.txt" \
-    2> "$TMP/serve_chaos.err"
-  grep -q '^settled:    yes' "$TMP/serve_chaos.err" || {
-    echo "scenario_smoke.sh: chaos serve run did not re-converge" >&2
-    cat "$TMP/serve_chaos.err" >&2
+# Every detector answers every verb: a query, a list and an audit each
+# get one answer line (a shape the detector does not serve answers
+# inconsistent with a reason), and no request may crash the daemon --
+# the robust 3-hop audits read G_{i-1}.
+printf '@3 query 0 edge 0:1\n@5 list 0 triangle\n@8 audit\n' \
+  > "$TMP/verbs.script"
+vcount=0
+while IFS= read -r detector; do
+  [[ -n "$detector" ]] || continue
+  "$BIN" --scenario 'churn(n=16, rounds=10, seed=1)' \
+    --detector "$detector" --requests "$TMP/verbs.script" \
+    --answers "$TMP/ans_verbs.txt" 2> "$TMP/serve_verbs.err" || {
+    echo "scenario_smoke.sh: dynsub_run --requests failed on detector '$detector'" >&2
+    cat "$TMP/serve_verbs.err" >&2
     exit 1
   }
-  during=$(grep -c 'round=5 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
-  after=$(grep -c 'round=80 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
-  if [[ "$during" -eq 0 ]]; then
-    echo "scenario_smoke.sh: no kInconsistent answer during the outage" >&2
-    cat "$TMP/ans_chaos.txt" >&2
+  answered=$(grep -c '^req=' "$TMP/ans_verbs.txt" || true)
+  if [[ "$answered" -ne 3 ]]; then
+    echo "scenario_smoke.sh: detector '$detector' gave $answered answer" \
+      "line(s), want 3" >&2
+    cat "$TMP/ans_verbs.txt" >&2
     exit 1
   fi
-  if [[ "$after" -ne 0 ]]; then
-    echo "scenario_smoke.sh: still answering kInconsistent after re-convergence" >&2
-    cat "$TMP/ans_chaos.txt" >&2
-    exit 1
-  fi
-  echo "chaos serve leg ok: $during inconsistent answer(s) during the outage, 0 after"
-else
-  echo "scenario_smoke.sh: dynsub_serve not built at $SERVE; skipping serve leg" >&2
+  vcount=$((vcount + 1))
+done < <("$BIN" --list-detectors)
+echo "query, list and audit answered under all $vcount detector(s)"
+
+# Chaos leg: a lane outage mid-run must surface as kInconsistent answers
+# at the degraded nodes (the model's honest "cannot say"), and the same
+# nodes must answer definitively once the network re-converges.
+: > "$TMP/chaos.script"
+for v in $(seq 0 15); do
+  echo "@5 query $v edge $v:$(( (v + 1) % 16 ))" >> "$TMP/chaos.script"
+done
+for v in $(seq 0 15); do
+  echo "@80 query $v edge $v:$(( (v + 1) % 16 ))" >> "$TMP/chaos.script"
+done
+"$BIN" --scenario 'churn(n=16, rounds=30, seed=9)' --threads 2 \
+  --faults 'chaos(seed=7, kill_lane=0, kill_from=3, kill_until=6)' \
+  --requests "$TMP/chaos.script" --answers "$TMP/ans_chaos.txt" \
+  2> "$TMP/serve_chaos.err"
+grep -q '^settled:    yes' "$TMP/serve_chaos.err" || {
+  echo "scenario_smoke.sh: chaos serve run did not re-converge" >&2
+  cat "$TMP/serve_chaos.err" >&2
+  exit 1
+}
+during=$(grep -c 'round=5 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
+after=$(grep -c 'round=80 .*answer=inconsistent' "$TMP/ans_chaos.txt" || true)
+if [[ "$during" -eq 0 ]]; then
+  echo "scenario_smoke.sh: no kInconsistent answer during the outage" >&2
+  cat "$TMP/ans_chaos.txt" >&2
+  exit 1
 fi
+if [[ "$after" -ne 0 ]]; then
+  echo "scenario_smoke.sh: still answering kInconsistent after re-convergence" >&2
+  cat "$TMP/ans_chaos.txt" >&2
+  exit 1
+fi
+echo "chaos serve leg ok: $during inconsistent answer(s) during the outage, 0 after"
+
+echo "== one flag grammar =="
+# dynsub_run reads every flag as '--flag value' or '--flag=value', and the
+# request-mode flags are a usage error (exit 2) without --requests/--stdin.
+"$BIN" --scenario=multi-community-churn --quick --threads=4 \
+  --record="$TMP/teq.trace" > /dev/null
+cmp "$TMP/t.trace" "$TMP/teq.trace" || {
+  echo "scenario_smoke.sh: the --flag=value run recorded a different trace" >&2
+  exit 1
+}
+status=0
+"$BIN" --scenario flash-crowd --quick --answers "$TMP/stray.txt" \
+  > /dev/null 2>&1 || status=$?
+if [[ "$status" -ne 2 ]]; then
+  echo "scenario_smoke.sh: --answers without --requests exited $status," \
+    "want 2" >&2
+  exit 1
+fi
+echo "--flag=value runs like --flag value; a stray --answers exits 2"
 
 if [[ -n "${SMOKE_ARTIFACT_DIR:-}" ]]; then
   mkdir -p "$SMOKE_ARTIFACT_DIR"
   cp "$TMP/trace.json" "$SMOKE_ARTIFACT_DIR/chrome_trace.json"
   cp "$TMP/tel_a.jsonl" "$SMOKE_ARTIFACT_DIR/telemetry_rounds.jsonl"
-  if [[ -f "$TMP/serve_a.jsonl" ]]; then
-    cp "$TMP/serve_a.jsonl" "$SMOKE_ARTIFACT_DIR/serve_answers.jsonl"
-  fi
+  cp "$TMP/serve_a.jsonl" "$SMOKE_ARTIFACT_DIR/serve_answers.jsonl"
   echo "telemetry artifacts copied to $SMOKE_ARTIFACT_DIR"
 fi
 
