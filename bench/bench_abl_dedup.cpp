@@ -8,12 +8,11 @@
 // costing Theta(deg) distinct (e, 2, via) queue items per deletion at the
 // hub, while the scoped rule stays flat.  (Queue duplicate suppression,
 // deviation D4, is on in both columns; it is orthogonal.)
-#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/robust3hop.hpp"
 #include "net/workload.hpp"
 
 namespace dynsub {
@@ -49,30 +48,18 @@ struct Outcome {
   std::size_t messages = 0;
 };
 
+/// The star gadget under robust3hop with the scoped (l2=0) or the
+/// paper-literal (l2=1) re-forward rule, sampling the queue peak after
+/// every round.
 Outcome run(std::size_t deg, bool paper_literal, std::size_t flickers) {
-  const std::size_t n = 3 + deg;
-  core::Robust3HopNode::Options opts;
-  opts.paper_literal_l2_forward = paper_literal;
-  net::Simulator sim(n, net::store_of<core::Robust3HopNode>(opts),
-                     {.collect_phase_timings = true});
-  net::ScriptedWorkload wl(star_script(deg, flickers));
   Outcome out;
-  const auto start = std::chrono::steady_clock::now();
-  while (!(wl.finished() && sim.all_consistent()) && out.rounds < 1000000) {
-    net::WorkloadObservation obs{sim.graph(), sim.round() + 1,
-                                 sim.all_consistent()};
-    auto ev = wl.finished() ? std::vector<EdgeEvent>{} : wl.next_round(obs);
-    sim.step(ev);
-    ++out.rounds;
-    for (NodeId v = 0; v < n; ++v) {
-      out.peak_queue = std::max(out.peak_queue, sim.node(v).queue_length());
-    }
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  bench::perf_accumulator().add(harness::summarize_timed(sim, wall));
-  out.messages = sim.metrics().messages();
+  const auto run = bench::run_session(
+      {.detector = paper_literal ? "robust3hop(l2=1)" : "robust3hop",
+       .scenario = {}},
+      std::make_unique<net::ScriptedWorkload>(star_script(deg, flickers)),
+      3 + deg, bench::track_queue_peak(out.peak_queue));
+  out.rounds = static_cast<std::size_t>(run.summary.rounds);
+  out.messages = run.summary.messages;
   return out;
 }
 

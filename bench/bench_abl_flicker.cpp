@@ -6,12 +6,11 @@
 // flag* -- the failure mode the imaginary-timestamp machinery exists to
 // prevent.  Also compares amortized complexity to show robustness is not
 // bought with extra rounds.
-#include <chrono>
 #include <cstdio>
+#include <memory>
+#include <string>
 
-#include "baseline/naive2hop.hpp"
 #include "bench_util.hpp"
-#include "core/robust2hop.hpp"
 #include "dynamics/flicker.hpp"
 #include "oracle/robust_sets.hpp"
 
@@ -20,38 +19,28 @@ namespace {
 
 struct Outcome {
   std::size_t wrong_answer_rounds = 0;
-  std::size_t rounds = 0;
   double amortized = 0;
 };
 
-template <typename NodeT>
-Outcome run(std::size_t repeats) {
+/// The repeated flicker schedule on 8 nodes against `detector`, asking the
+/// victim about the ghost edge after every round.  The schedule is injected
+/// rather than named by spec because the check needs its victim and ghost.
+Outcome run(const std::string& detector, std::size_t repeats) {
   const auto scenario = dynamics::make_repeated_flicker_scenario(8, repeats);
-  net::Simulator sim(8, net::store_of<NodeT>(),
-                     {.collect_phase_timings = true});
-  net::ScriptedWorkload wl(scenario.script);
   Outcome out;
-  const auto start = std::chrono::steady_clock::now();
-  while (!(wl.finished() && sim.all_consistent()) && out.rounds < 1000000) {
-    net::WorkloadObservation obs{sim.graph(), sim.round() + 1,
-                                 sim.all_consistent()};
-    auto ev = wl.finished() ? std::vector<EdgeEvent>{} : wl.next_round(obs);
-    sim.step(ev);
-    ++out.rounds;
-    const auto& victim =
-        dynamic_cast<const NodeT&>(sim.node(scenario.victim));
-    const auto answer = victim.query_edge(scenario.ghost);
-    if (answer == net::Answer::kInconsistent) continue;
-    const bool truth =
-        oracle::robust_2hop(sim.graph(), scenario.victim)
-            .contains(scenario.ghost);
-    if ((answer == net::Answer::kTrue) != truth) ++out.wrong_answer_rounds;
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  bench::perf_accumulator().add(harness::summarize_timed(sim, wall));
-  out.amortized = sim.metrics().amortized();
+  const auto run = bench::run_session(
+      {.detector = detector, .scenario = {}},
+      std::make_unique<net::ScriptedWorkload>(scenario.script), 8,
+      [&](const detect::Session& session) {
+        const auto answer =
+            session.query(scenario.victim, detect::EdgeQuery{scenario.ghost});
+        if (answer == net::Answer::kInconsistent) return;
+        const bool truth =
+            oracle::robust_2hop(session.sim().graph(), scenario.victim)
+                .contains(scenario.ghost);
+        if ((answer == net::Answer::kTrue) != truth) ++out.wrong_answer_rounds;
+      });
+  out.amortized = run.summary.amortized;
   return out;
 }
 
@@ -80,8 +69,8 @@ int main(int argc, char** argv) {
               "robust (Theorem 7)");
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t repeats = sweep[i];
-    const auto naive = run<baseline::NaiveTwoHopNode>(repeats);
-    const auto robust = run<core::Robust2HopNode>(repeats);
+    const auto naive = run("naive2hop", repeats);
+    const auto robust = run("robust2hop", repeats);
     std::printf(
         "  %-10zu wrong rounds %-6zu amort %-5.2f wrong rounds %-6zu "
         "amort %-5.2f\n",

@@ -7,27 +7,9 @@
 // robust subset costs O(1) on the identical event stream.  Both measured
 // curves are printed with the theoretical n / log n shape.
 #include <cmath>
-#include <vector>
+#include <string>
 
-#include "baseline/full2hop.hpp"
 #include "bench_util.hpp"
-#include "core/robust2hop.hpp"
-#include "dynamics/random_churn.hpp"
-
-namespace dynsub {
-namespace {
-
-// Serialized single-edge toggles with stabilization waits: the regime the
-// paper's amortization charges (overlapping windows would hide the
-// per-change snapshot cost from the global inconsistent-rounds metric).
-dynamics::SerializedChurnWorkload make_churn(std::size_t n,
-                                             std::size_t toggles) {
-  return dynamics::SerializedChurnWorkload(n, 2 * n, toggles,
-                                           /*seed=*/0xB0B + n);
-}
-
-}  // namespace
-}  // namespace dynsub
 
 int main(int argc, char** argv) {
   using namespace dynsub;
@@ -38,34 +20,25 @@ int main(int argc, char** argv) {
                      "of Theorem 7 is O(1)");
   const auto sizes =
       bench.sweep<std::size_t>({64, 128, 256, 512, 1024}, {64, 128});
-  const std::size_t toggles = bench.quick() ? 20 : 60;
+  const std::string toggles = bench.quick() ? "20" : "60";
 
-  const std::size_t count = sizes.size();
-  harness::Series full{"full 2-hop (Lemma 1)",
-                       std::vector<harness::SeriesPoint>(count)};
-  harness::Series robust{"robust 2-hop (Thm 7)",
-                         std::vector<harness::SeriesPoint>(count)};
-  harness::Series bound{"n/log2(n) (theory)",
-                        std::vector<harness::SeriesPoint>(count)};
-  harness::parallel_for(count, [&](std::size_t i) {
-    const std::size_t n = sizes[i];
-    {
-      auto wl = make_churn(n, toggles);
-      full.points[i] = {static_cast<double>(n),
-                        bench::run_experiment(
-                            n, net::store_of<baseline::FullTwoHopNode>(), wl)
-                            .amortized};
-    }
-    {
-      auto wl = make_churn(n, toggles);
-      robust.points[i] = {static_cast<double>(n),
-                          bench::run_experiment(
-                              n, net::store_of<core::Robust2HopNode>(), wl)
-                              .amortized};
-    }
-    bound.points[i] = {static_cast<double>(n),
-                       static_cast<double>(n) / std::log2(n)};
-  });
-  bench.report("n", {full, robust, bound});
+  // Serialized single-edge toggles with stabilization waits: the regime the
+  // paper's amortization charges (overlapping windows would hide the
+  // per-change snapshot cost from the global inconsistent-rounds metric).
+  auto churn = [&](std::size_t n) {
+    return "serialized-churn(n=" + std::to_string(n) +
+           ", target=" + std::to_string(2 * n) + ", toggles=" + toggles +
+           ", seed=" + std::to_string(0xB0B + n) + ")";
+  };
+  const std::vector<bench::Curve> curves{
+      {"full 2-hop (Lemma 1)", "full2hop", churn},
+      {"robust 2-hop (Thm 7)", "robust2hop", churn},
+  };
+  const auto runs = bench::run_sweep(sizes, curves);
+  auto series = bench::amortized_series(sizes, curves, runs);
+  series.push_back(bench::theory_series(
+      "n/log2(n) (theory)", series[0],
+      [](double n) { return n / std::log2(n); }));
+  bench.report("n", series);
   return bench.finish();
 }

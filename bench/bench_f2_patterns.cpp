@@ -9,14 +9,11 @@
 // regenerating the figures as numbers (and double-checking the oracle
 // decompositions sum up).
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "bench_util.hpp"
 #include "core/robust3hop.hpp"
 #include "core/triangle.hpp"
-#include "dynamics/random_churn.hpp"
-#include "net/simulator.hpp"
 #include "oracle/robust_sets.hpp"
 
 namespace dynsub {
@@ -34,22 +31,12 @@ struct Fig3Census {
   std::size_t len3 = 0;
 };
 
-template <typename NodeT>
-std::unique_ptr<net::Simulator> run_churn(std::size_t n,
-                                          std::uint64_t seed,
-                                          std::size_t rounds) {
-  auto sim = std::make_unique<net::Simulator>(
-      n, net::store_of<NodeT>(),
-      net::SimulatorConfig{.collect_phase_timings = true});
-  dynamics::RandomChurnParams cp;
-  cp.n = n;
-  cp.target_edges = 3 * n;
-  cp.max_changes = 4;
-  cp.rounds = rounds;
-  cp.seed = seed;
-  dynamics::RandomChurnWorkload wl(cp);
-  bench::run_timed(*sim, wl, 1000000);
-  return sim;
+/// Random churn to a stable point under `detector`.
+bench::SessionRun run_churn(const std::string& detector, std::size_t n,
+                            std::uint64_t seed, const std::string& rounds) {
+  return bench::run_session(
+      {.detector = detector,
+       .scenario = bench::random_churn_spec(n, 3 * n, rounds, seed)});
 }
 
 }  // namespace
@@ -63,17 +50,19 @@ int main(int argc, char** argv) {
                      "figures' temporal patterns (incident / pattern (a) / "
                      "pattern (b); discovery-path lengths 1/2/3)");
   const std::size_t n = bench.quick() ? 64 : 192;
-  const std::size_t rounds = bench.quick() ? 120 : 300;
+  const std::string rounds = bench.quick() ? "120" : "300";
 
   {
-    auto sim = run_churn<core::TriangleNode>(n, 0xF2, rounds);
+    const auto run = run_churn("triangle", n, 0xF2, rounds);
+    const auto& sim = run.session.sim();
+    const auto nodes =
+        sim.store().as<core::TriangleNode>("figure 2 pattern census");
     Fig2Census census;
     std::size_t mismatch = 0;
     for (NodeId v = 0; v < n; ++v) {
-      const auto r2 = oracle::robust_2hop(sim->graph(), v);
-      const auto t2 = oracle::triangle_pattern_set(sim->graph(), v);
-      const auto& node = dynamic_cast<const core::TriangleNode&>(sim->node(v));
-      const auto known = node.known_edges();
+      const auto r2 = oracle::robust_2hop(sim.graph(), v);
+      const auto t2 = oracle::triangle_pattern_set(sim.graph(), v);
+      const auto known = nodes[v].known_edges();
       for (const auto& [e, ts] : known) {
         (void)ts;
         if (e.touches(v)) {
@@ -109,18 +98,20 @@ int main(int argc, char** argv) {
       "discovery paths by length: 1 (incident), 2 (Fig 3a), 3 (Fig 3b)");
 
   {
-    auto sim = run_churn<core::Robust3HopNode>(n, 0xF3, rounds);
+    const auto run = run_churn("robust3hop", n, 0xF3, rounds);
+    const auto& sim = run.session.sim();
+    const auto nodes =
+        sim.store().as<core::Robust3HopNode>("figure 3 path census");
     Fig3Census census;
     std::size_t robust_missing = 0;
     for (NodeId v = 0; v < n; ++v) {
-      const auto& node =
-          dynamic_cast<const core::Robust3HopNode&>(sim->node(v));
+      const core::Robust3HopNode& node = nodes[v];
       for (const auto& pk : node.paths()) {
         if (pk.length() == 1) ++census.len1;
         if (pk.length() == 2) ++census.len2;
         if (pk.length() == 3) ++census.len3;
       }
-      const auto r3 = oracle::robust_3hop(sim->graph(), v);
+      const auto r3 = oracle::robust_3hop(sim.graph(), v);
       const auto known = node.known_edges();
       for (const Edge& e : r3) robust_missing += !known.contains(e);
     }

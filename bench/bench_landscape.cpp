@@ -15,26 +15,39 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/check.hpp"
 #include "net/faults.hpp"
-#include "scenario/registry.hpp"
 
 namespace dynsub {
 namespace {
 
 std::string num(std::size_t v) { return std::to_string(v); }
 
-harness::RunSummary run_spec(const std::string& spec,
-                             const net::NodeFactory& factory,
-                             std::size_t threads = 0,
-                             const net::FaultPlan& faults = {},
-                             std::size_t shards = 1) {
-  scenario::ScenarioBuild built = bench::build_scenario_or_die(spec);
-  return bench::run_experiment(built.nodes, factory, *built.workload,
-                               10000000, threads, faults, shards);
+/// `detector` on `scenario` under the engine settings `sim`.
+harness::RunSummary run_spec(const std::string& detector,
+                             const std::string& scenario,
+                             const net::SimulatorConfig& sim = {}) {
+  return bench::run_session(
+             {.detector = detector, .scenario = scenario, .sim = sim})
+      .summary;
 }
+
+/// One row of the paper's table: a problem, its bound, and the (algorithm,
+/// adversary) pair that measures it, as a detector spec and a scenario
+/// spec.  Adjacent rows naming the same pair share one run.  `perf` rows
+/// also record `<key>.rounds_per_sec`, which bench/check_regression.py
+/// tracks across commits.
+struct Row {
+  const char* problem;
+  const char* key;
+  const char* bound;
+  std::string detector;
+  std::string scenario;
+  bool perf;
+};
 
 }  // namespace
 }  // namespace dynsub
@@ -51,19 +64,41 @@ int main(int argc, char** argv) {
   const std::size_t rounds = bench.quick() ? 120 : 300;
   const std::uint64_t seed = bench.seed_or(0x1A2D);
 
-  auto churn_run = [&](const net::NodeFactory& factory) {
-    return run_spec("churn(n=" + num(n) + ", target=" + num(2 * n) +
-                        ", max=6, rounds=" + num(rounds) + ", seed=" +
-                        num(seed) + ")",
-                    factory);
+  // The O(1) problems under random churn (k-clique membership is answered
+  // by the very same triangle structure on the same event stream, Cor 1),
+  // the hard problems under their lower-bound adversaries.
+  const std::string churn = "churn(n=" + num(n) + ", target=" + num(2 * n) +
+                            ", max=6, rounds=" + num(rounds) +
+                            ", seed=" + num(seed) + ")";
+  // Constant plant count: constant change rate across n.
+  auto planted_cycle = [&](std::size_t k) {
+    return "planted-cycle(n=" + num(n) + ", k=" + num(k) +
+           ", plants=2, noise=1, period=" + num(12 + k) +
+           ", rounds=" + num(rounds) + ", seed=" + num(seed + 1) + ")";
   };
-  auto planted_cycle_run = [&](std::size_t k) {
-    // Constant plant count: constant change rate across n.
-    return run_spec("planted-cycle(n=" + num(n) + ", k=" + num(k) +
-                        ", plants=2, noise=1, period=" + num(12 + k) +
-                        ", rounds=" + num(rounds) + ", seed=" +
-                        num(seed + 1) + ")",
-                    bench::detector_factory_or_die("robust3hop"));
+  const Row rows[] = {
+      {"triangle membership (Thm 1)", "triangle_membership", "O(1)",
+       "triangle", churn, true},
+      {"k-clique membership (Cor 1)", "clique_membership", "O(1)", "triangle",
+       churn, false},
+      {"robust 2-hop (Thm 7)", "robust_2hop", "O(1)", "robust2hop", churn,
+       true},
+      {"robust 3-hop (Thm 6)", "robust_3hop", "O(1)", "robust3hop", churn,
+       true},
+      {"4-cycle listing (Thm 5)", "cycle4_listing", "O(1)", "robust3hop",
+       planted_cycle(4), true},
+      {"5-cycle listing (Thm 5)", "cycle5_listing", "O(1)", "robust3hop",
+       planted_cycle(5), true},
+      {"P3 membership / 2-hop (Thm 2)", "p3_membership_lb", "Theta~(n)",
+       "full2hop", "membership-lb(pattern=p3, t=" + num(n) + ")", false},
+      {"diamond membership (Thm 2)", "diamond_membership_lb",
+       "Omega(n/log n)", "flood2",
+       "membership-lb(pattern=diamond, t=" + num(n) + ")", false},
+      {"6-cycle listing (Thm 4)", "cycle6_listing_lb", "Omega(sqrt n/log n)",
+       "flood3",
+       "cycle-lb(d=" + num(bench.quick() ? 8 : 14) +
+           ", seed=" + num(seed + 2) + ")",
+       false},
   };
 
   std::printf("\n  %-34s %-22s %-10s\n",
@@ -72,52 +107,19 @@ int main(int argc, char** argv) {
               "paper bound", "measured");
   std::printf("  %-34s %-22s %-10s\n", "---------------------------",
               "-----------", "--------");
-
-  auto row = [&](const char* problem, const char* metric_key,
-                 const char* bound, double measured) {
-    std::printf("  %-34s %-22s %-10.2f\n", problem, bound, measured);
-    bench.metric(metric_key, measured);
-  };
-  // Sparse-churn rows also record their engine throughput: the
-  // `<key>.rounds_per_sec` metrics are what bench/check_regression.py
-  // tracks across commits.
-  auto perf_row = [&](const char* problem, const std::string& metric_key,
-                      const char* bound, const harness::RunSummary& s) {
-    row(problem, metric_key.c_str(), bound, s.amortized);
-    bench.metric(metric_key + ".rounds_per_sec", s.rounds_per_sec);
-  };
-
-  // One run serves both rows: k-clique membership is answered by the very
-  // same triangle structure on the same event stream (Cor 1).
-  const harness::RunSummary triangle_summary =
-      churn_run(bench::detector_factory_or_die("triangle"));
-  perf_row("triangle membership (Thm 1)", "triangle_membership", "O(1)",
-           triangle_summary);
-  row("k-clique membership (Cor 1)", "clique_membership", "O(1)",
-      triangle_summary.amortized);
-  perf_row("robust 2-hop (Thm 7)", "robust_2hop", "O(1)",
-           churn_run(bench::detector_factory_or_die("robust2hop")));
-  perf_row("robust 3-hop (Thm 6)", "robust_3hop", "O(1)",
-           churn_run(bench::detector_factory_or_die("robust3hop")));
-  perf_row("4-cycle listing (Thm 5)", "cycle4_listing", "O(1)",
-           planted_cycle_run(4));
-  perf_row("5-cycle listing (Thm 5)", "cycle5_listing", "O(1)",
-           planted_cycle_run(5));
-
-  row("P3 membership / 2-hop (Thm 2)", "p3_membership_lb", "Theta~(n)",
-      run_spec("membership-lb(pattern=p3, t=" + num(n) + ")",
-               bench::detector_factory_or_die("full2hop"))
-          .amortized);
-  row("diamond membership (Thm 2)", "diamond_membership_lb",
-      "Omega(n/log n)",
-      run_spec("membership-lb(pattern=diamond, t=" + num(n) + ")",
-               bench::detector_factory_or_die("flood2"))
-          .amortized);
-  row("6-cycle listing (Thm 4)", "cycle6_listing_lb", "Omega(sqrt n/log n)",
-      run_spec("cycle-lb(d=" + num(bench.quick() ? 8 : 14) +
-                   ", seed=" + num(seed + 2) + ")",
-               bench::detector_factory_or_die("flood3"))
-          .amortized);
+  harness::RunSummary s;
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const Row& r = rows[i];
+    if (i == 0 || r.detector != rows[i - 1].detector ||
+        r.scenario != rows[i - 1].scenario) {
+      s = run_spec(r.detector, r.scenario);
+    }
+    std::printf("  %-34s %-22s %-10.2f\n", r.problem, r.bound, s.amortized);
+    bench.metric(r.key, s.amortized);
+    if (r.perf) {
+      bench.metric(std::string(r.key) + ".rounds_per_sec", s.rounds_per_sec);
+    }
+  }
 
   // --- Engine throughput on the sparse-churn regime. -----------------------
   // Serialized toggles with stabilization waits: most rounds touch O(1)
@@ -131,10 +133,8 @@ int main(int argc, char** argv) {
     const std::string spec = "serialized-churn(n=" + num(sn) + ", target=" +
                              num(2 * sn) + ", toggles=" + num(toggles) +
                              ", seed=" + num(bench.seed_or(0x51AB)) + ")";
-    const harness::RunSummary tri =
-        run_spec(spec, bench::detector_factory_or_die("triangle"));
-    const harness::RunSummary r2h =
-        run_spec(spec, bench::detector_factory_or_die("robust2hop"));
+    const harness::RunSummary tri = run_spec("triangle", spec);
+    const harness::RunSummary r2h = run_spec("robust2hop", spec);
     std::printf(
         "\n  sparse-churn engine throughput (n=%zu, %zu serialized "
         "toggles):\n"
@@ -156,10 +156,9 @@ int main(int argc, char** argv) {
     const std::size_t big_n = 100000;
     const std::size_t toggles = bench.quick() ? 60 : 300;
     const harness::RunSummary big = run_spec(
-        "serialized-churn(n=" + num(big_n) + ", target=" + num(2 * big_n) +
-            ", toggles=" + num(toggles) + ", seed=" +
-            num(bench.seed_or(0x51AB) + 1) + ")",
-        bench::detector_factory_or_die("triangle"));
+        "triangle", "serialized-churn(n=" + num(big_n) + ", target=" +
+                        num(2 * big_n) + ", toggles=" + num(toggles) +
+                        ", seed=" + num(bench.seed_or(0x51AB) + 1) + ")");
     std::printf(
         "    triangle   %12.0f rounds/sec at n=%zu (%zu toggles, "
         "amortized %.2f)\n",
@@ -189,10 +188,9 @@ int main(int argc, char** argv) {
     const auto chaos = net::parse_fault_plan(
         "chaos(seed=" + num(bench.seed_or(0x51AB)) + ", drop=0.01)", &perr);
     DYNSUB_CHECK(chaos.has_value());
-    const harness::RunSummary clean =
-        run_spec(spec, bench::detector_factory_or_die("triangle"));
+    const harness::RunSummary clean = run_spec("triangle", spec);
     const harness::RunSummary faulty =
-        run_spec(spec, bench::detector_factory_or_die("triangle"), 0, *chaos);
+        run_spec("triangle", spec, {.faults = *chaos});
     DYNSUB_CHECK(faulty.amortized == clean.amortized);
     DYNSUB_CHECK(faulty.rounds == clean.rounds);
     std::printf(
@@ -254,8 +252,7 @@ int main(int argc, char** argv) {
       // are bit-identical at every lane count (ParallelEquivalence), so
       // repeats measure speed only, never behavior.
       auto measure = [&](std::size_t threads) {
-        return run_spec(spec, bench::detector_factory_or_die("triangle"),
-                        threads);
+        return run_spec("triangle", spec, {.threads = threads});
       };
       auto better = [](const harness::RunSummary& a,
                        const harness::RunSummary& b) {
@@ -302,8 +299,7 @@ int main(int argc, char** argv) {
           num(bench.quick() ? 10 : 30) + ", seed=" +
           num(bench.seed_or(0x51AB) + 2) + ")";
       auto measure = [&](std::size_t s) {
-        return run_spec(spec, bench::detector_factory_or_die("triangle"),
-                        lanes, {}, s);
+        return run_spec("triangle", spec, {.threads = lanes, .shards = s});
       };
       const harness::RunSummary one = measure(1);
       const harness::RunSummary sharded = measure(shards);

@@ -9,28 +9,9 @@
 // event stream, which stays flat.  The information-theoretic n / log n
 // curve is printed alongside for shape comparison.
 #include <cmath>
-#include <vector>
+#include <string>
 
-#include "baseline/floodkhop.hpp"
-#include "baseline/full2hop.hpp"
 #include "bench_util.hpp"
-#include "core/triangle.hpp"
-#include "dynamics/lb_membership.hpp"
-
-namespace dynsub {
-namespace {
-
-double adversary_run(const dynamics::PatternGraph& pattern, std::size_t t,
-                     const net::NodeFactory& factory) {
-  dynamics::MembershipLbParams mp;
-  mp.pattern = pattern;
-  mp.t = t;
-  dynamics::MembershipLbAdversary wl(mp);
-  return bench::run_experiment(wl.nodes_required(), factory, wl).amortized;
-}
-
-}  // namespace
-}  // namespace dynsub
 
 int main(int argc, char** argv) {
   using namespace dynsub;
@@ -42,30 +23,25 @@ int main(int argc, char** argv) {
   const auto kTs =
       bench.sweep<std::size_t>({32, 64, 128, 256, 512}, {16, 32, 64});
 
-  const std::size_t count = kTs.size();
-  harness::Series p3{"H=P3 (full2hop)", std::vector<harness::SeriesPoint>(count)};
-  harness::Series diamond{"H=diamond (flood r=2)",
-                          std::vector<harness::SeriesPoint>(count)};
-  harness::Series c4{"H=C4 (flood r=2)", std::vector<harness::SeriesPoint>(count)};
-  harness::Series k3{"H=K3 (Thm 1, contrast)",
-                     std::vector<harness::SeriesPoint>(count)};
-  harness::Series bound{"n/log2(n) (theory)",
-                        std::vector<harness::SeriesPoint>(count)};
-
-  harness::parallel_for(count, [&](std::size_t i) {
-    const std::size_t t = kTs[i];
-    const double n = static_cast<double>(t) + 2;
-    p3.points[i] = {n, adversary_run(dynamics::pattern_p3(), t,
-                                     net::store_of<baseline::FullTwoHopNode>())};
-    diamond.points[i] = {n, adversary_run(dynamics::pattern_diamond(), t,
-                                          net::store_of<baseline::FloodKHopNode>(2))};
-    c4.points[i] = {n, adversary_run(dynamics::pattern_c4(), t,
-                                     net::store_of<baseline::FloodKHopNode>(2))};
-    k3.points[i] = {n, adversary_run(dynamics::pattern_p3(), t,
-                                     net::store_of<core::TriangleNode>())};
-    bound.points[i] = {n, n / std::log2(n)};
+  auto adversary = [](const char* pattern) {
+    return [pattern](std::size_t t) {
+      return "membership-lb(pattern=" + std::string(pattern) +
+             ", t=" + std::to_string(t) + ")";
+    };
+  };
+  const std::vector<bench::Curve> curves{
+      {"H=P3 (full2hop)", "full2hop", adversary("p3")},
+      {"H=diamond (flood r=2)", "flood2", adversary("diamond")},
+      {"H=C4 (flood r=2)", "flood2", adversary("c4")},
+      {"H=K3 (Thm 1, contrast)", "triangle", adversary("p3")},
+  };
+  const auto runs = bench::run_sweep(kTs, curves);
+  auto series = bench::amortized_series(kTs, curves, runs, [](std::size_t t) {
+    return static_cast<double>(t) + 2;
   });
-
-  bench.report("n", {p3, diamond, c4, k3, bound});
+  series.push_back(bench::theory_series(
+      "n/log2(n) (theory)", series[0],
+      [](double n) { return n / std::log2(n); }));
+  bench.report("n", series);
   return bench.finish();
 }

@@ -7,57 +7,36 @@
 // listing coverage observed at stabilization points (every planted cycle
 // must be reported by at least one of its nodes).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/robust3hop.hpp"
-#include "dynamics/planted.hpp"
 #include "oracle/subgraphs.hpp"
 
 namespace dynsub {
 namespace {
 
-struct Cell {
-  double amortized = 0;
-  std::size_t cycles_present = 0;
-  std::size_t cycles_reported = 0;
+struct Coverage {
+  std::size_t present = 0;
+  std::size_t reported = 0;
 };
 
-Cell run(std::size_t n, std::size_t k, std::size_t rounds) {
-  dynamics::PlantedParams pp;
-  pp.n = n;
-  pp.k = k;
-  pp.plants = 2;  // constant plant count: constant change rate across n
-  pp.noise_per_round = 1;
-  pp.rebuild_period = 12 + k;
-  pp.rounds = rounds;
-  pp.seed = 0x4C + n * 13 + k;
-  dynamics::PlantedCycleWorkload wl(pp);
-  net::Simulator sim(n, net::store_of<core::Robust3HopNode>(),
-                     {.collect_phase_timings = true});
-  bench::run_timed(sim, wl, 1000000);
-  Cell cell;
-  cell.amortized = sim.metrics().amortized();
-  // Coverage at the final (stable) round, measured against G_{i-1} as the
-  // guarantee specifies.
-  auto check = [&](auto cycles) {
-    for (const auto& c : cycles) {
-      ++cell.cycles_present;
-      for (NodeId x : c.v) {
-        const auto& node =
-            dynamic_cast<const core::Robust3HopNode&>(sim.node(x));
-        if (node.query_cycle(std::span<const NodeId>(c.v.data(),
-                                                     c.v.size())) ==
-            net::Answer::kTrue) {
-          ++cell.cycles_reported;
-          break;
-        }
+/// How many of `cycles` at least one of their nodes reports, asked through
+/// the uniform query surface.
+template <typename Cycles>
+Coverage coverage(const detect::Session& session, const Cycles& cycles) {
+  Coverage cov;
+  for (const auto& c : cycles) {
+    ++cov.present;
+    const detect::CycleQuery q{{c.v.begin(), c.v.end()}};
+    for (const NodeId x : c.v) {
+      if (session.query(x, q) == net::Answer::kTrue) {
+        ++cov.reported;
+        break;
       }
     }
-  };
-  if (k == 4) check(oracle::all_4_cycles(sim.prev_graph()));
-  if (k == 5) check(oracle::all_5_cycles(sim.prev_graph()));
-  return cell;
+  }
+  return cov;
 }
 
 }  // namespace
@@ -71,42 +50,49 @@ int main(int argc, char** argv) {
                      "of G_{i-1} reported by at least one of its nodes");
   const auto sizes =
       bench.sweep<std::size_t>({32, 64, 128, 256, 512}, {32, 64});
-  const std::size_t rounds = bench.quick() ? 120 : 300;
+  const std::string rounds = bench.quick() ? "120" : "300";
 
-  const std::size_t count = sizes.size();
-  harness::Series c4{"4-cycle listing", std::vector<harness::SeriesPoint>(count)};
-  harness::Series c5{"5-cycle listing", std::vector<harness::SeriesPoint>(count)};
-  std::vector<Cell> cell4(count), cell5(count);
-  harness::parallel_for(count * 2, [&](std::size_t idx) {
-    const std::size_t i = idx / 2;
-    if (idx % 2 == 0) {
-      cell4[i] = run(sizes[i], 4, rounds);
-    } else {
-      cell5[i] = run(sizes[i], 5, rounds);
-    }
-  });
-  for (std::size_t i = 0; i < count; ++i) {
-    c4.points[i] = {static_cast<double>(sizes[i]), cell4[i].amortized};
-    c5.points[i] = {static_cast<double>(sizes[i]), cell5[i].amortized};
-  }
-  bench.report("n", {c4, c5});
-
-  harness::Series cov4{"4-cycle coverage", std::vector<harness::SeriesPoint>(count)};
-  harness::Series cov5{"5-cycle coverage", std::vector<harness::SeriesPoint>(count)};
-  std::printf("\nlisting coverage at the final stable round:\n");
-  for (std::size_t i = 0; i < count; ++i) {
-    std::printf("  n=%-5zu 4-cycles %zu/%zu reported, 5-cycles %zu/%zu\n",
-                sizes[i], cell4[i].cycles_reported, cell4[i].cycles_present,
-                cell5[i].cycles_reported, cell5[i].cycles_present);
-    auto ratio = [](std::size_t reported, std::size_t present) {
-      return present == 0 ? 1.0
-                          : static_cast<double>(reported) /
-                                static_cast<double>(present);
+  // Constant plant count: constant change rate across n.
+  auto planted = [&](std::size_t k) {
+    return [&rounds, k](std::size_t n) {
+      return "planted-cycle(n=" + std::to_string(n) + ", k=" +
+             std::to_string(k) + ", plants=2, noise=1, period=" +
+             std::to_string(12 + k) + ", rounds=" + rounds +
+             ", seed=" + std::to_string(0x4C + n * 13 + k) + ")";
     };
-    cov4.points[i] = {static_cast<double>(sizes[i]),
-                      ratio(cell4[i].cycles_reported, cell4[i].cycles_present)};
-    cov5.points[i] = {static_cast<double>(sizes[i]),
-                      ratio(cell5[i].cycles_reported, cell5[i].cycles_present)};
+  };
+  const std::vector<bench::Curve> curves{
+      {"4-cycle listing", "robust3hop", planted(4)},
+      {"5-cycle listing", "robust3hop", planted(5)},
+  };
+  // Coverage at the final (stable) round, [curve][point], measured against
+  // G_{i-1} as the guarantee specifies.
+  std::vector<std::vector<Coverage>> cov(curves.size(),
+                                         std::vector<Coverage>(sizes.size()));
+  const auto runs = bench::run_sweep(
+      sizes, curves,
+      [&](std::size_t c, std::size_t i, const detect::Session& session) {
+        const auto prev = session.sim().prev_graph();
+        cov[c][i] = c == 0 ? coverage(session, oracle::all_4_cycles(prev))
+                           : coverage(session, oracle::all_5_cycles(prev));
+      });
+  bench.report("n", bench::amortized_series(sizes, curves, runs));
+
+  harness::Series cov4{"4-cycle coverage", {}};
+  harness::Series cov5{"5-cycle coverage", {}};
+  std::printf("\nlisting coverage at the final stable round:\n");
+  auto ratio = [](const Coverage& c) {
+    return c.present == 0 ? 1.0
+                          : static_cast<double>(c.reported) /
+                                static_cast<double>(c.present);
+  };
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    std::printf("  n=%-5zu 4-cycles %zu/%zu reported, 5-cycles %zu/%zu\n",
+                sizes[i], cov[0][i].reported, cov[0][i].present,
+                cov[1][i].reported, cov[1][i].present);
+    const auto x = static_cast<double>(sizes[i]);
+    cov4.points.push_back({x, ratio(cov[0][i])});
+    cov5.points.push_back({x, ratio(cov[1][i])});
   }
   bench.report_json_only("n", {cov4, cov5});
   return bench.finish();

@@ -3,8 +3,11 @@
 // Every bench regenerates one artifact of the paper (a theorem's complexity
 // curve, a figure's construction, or an ablation) and prints a standard
 // block: the claim, a results table, an ASCII chart of the series, and the
-// log-log slope of each curve so the growth shape is a number.  Sweep
-// points are independent simulations and run on a thread pool.
+// log-log slope of each curve so the growth shape is a number.  Every run
+// is a detect::Session opened from a detector spec and a scenario spec
+// (run_session), so each sweep point reproduces as `dynsub_run --scenario
+// S --detector D`.  Sweep points are independent simulations and run on a
+// thread pool.
 //
 // All benches speak the same CLI, read with dynsub_run's argv grammar
 // (harness/engine_flags.hpp: "--flag value" or "--flag=value"):
@@ -17,6 +20,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -25,24 +29,23 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/format.hpp"
-#include "detect/registry.hpp"
+#include "detect/session.hpp"
 #include "harness/engine_flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
-#include "net/simulator.hpp"
 #include "net/workload.hpp"
-#include "scenario/registry.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace dynsub::bench {
 
-/// Process-wide perf aggregate across every run_experiment() call (sweep
+/// Process-wide perf aggregate across every run_session() call (sweep
 /// points may run on the harness thread pool, hence atomics).  Bench::finish
 /// folds it into the JSON document as perf.* metrics, which is what the
 /// BENCH_*.json trajectory and bench/check_regression.py track.
@@ -337,91 +340,177 @@ inline void print_results(const std::string& x_name,
   }
 }
 
-/// Runs `workload` to completion (plus drain) over an algorithm built by
-/// `factory`; returns the run summary with wall-clock + per-phase perf
-/// filled in (and folded into the process-wide perf aggregate).
-inline harness::RunSummary run_experiment(std::size_t n,
-                                          const net::NodeFactory& factory,
-                                          net::Workload& workload,
-                                          std::size_t max_rounds = 10000000,
-                                          std::size_t threads = 0,
-                                          const net::FaultPlan& faults = {},
-                                          std::size_t shards = 1) {
+/// A finished bench run: the session (for post-run queries and program
+/// censuses) and its timed summary.  The recorder is declared first so it
+/// outlives the simulator that reports to it.
+struct SessionRun {
+  std::unique_ptr<telemetry::TelemetryRecorder> recorder;
+  detect::Session session;
+  harness::RunSummary summary;
+};
+
+/// Called after every round of a per-round drive, drain rounds included.
+using RoundHook = std::function<void(const detect::Session&)>;
+
+/// The one way a bench builds and drives a run.  Opens a Session from
+/// `opts` (detector spec, scenario spec, engine settings in opts.sim) or,
+/// when `workload` is given, over that injected workload of `nodes` nodes
+/// (a scripted adversary whose metadata the bench reads, or one the
+/// scenario registry does not name; opts.scenario stays empty).  Drives
+/// it with Session::run(), or round by round calling `each_round` after
+/// every round when a hook is given; times the drive and folds the
+/// summary into the process-wide perf aggregate.  Dies loudly on a bad
+/// spec: a bench silently falling back to a different workload would fake
+/// the measurement.
+inline SessionRun run_session(detect::SessionOptions opts,
+                              std::unique_ptr<net::Workload> workload,
+                              std::size_t nodes,
+                              const RoundHook& each_round = {}) {
   // Histogram-only telemetry: O(lanes) memory whatever the round count,
   // feeding the latency_p50/p99 percentiles of the bench JSON.
-  telemetry::TelemetryRecorder rec(telemetry::RecorderOptions{
-      .timing = true, .keep_rounds = false, .keep_spans = false});
-  net::Simulator sim(n, factory, {.sparse_rounds = true,
-                                  .collect_phase_timings = true,
-                                  .threads = threads,
-                                  .shards = shards,
-                                  .faults = faults,
-                                  .telemetry = &rec});
-  const auto start = std::chrono::steady_clock::now();
-  net::run_workload(sim, workload, max_rounds);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  harness::RunSummary s = harness::summarize_timed(sim, wall);
-  s.latency_p50_ns = rec.round_latency_ns().p50();
-  s.latency_p99_ns = rec.round_latency_ns().p99();
-  perf_accumulator().add(s);
-  perf_accumulator().add_latency(rec.round_latency_ns());
-  return s;
-}
-
-/// For benches that need the simulator afterwards (coverage queries,
-/// prev-graph checks): drives `workload` on a caller-owned `sim`, timing
-/// the run and folding it into the process-wide perf aggregate.  Construct
-/// the simulator with `.collect_phase_timings = true` to get the per-phase
-/// split.
-inline harness::RunSummary run_timed(net::Simulator& sim,
-                                     net::Workload& workload,
-                                     std::size_t max_rounds = 10000000) {
-  const auto start = std::chrono::steady_clock::now();
-  net::run_workload(sim, workload, max_rounds);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  harness::RunSummary s = harness::summarize_timed(sim, wall);
-  perf_accumulator().add(s);
-  return s;
-}
-
-/// Builds a registry scenario or dies loudly: a bench silently falling back
-/// to a different workload would fake the measurement.
-inline scenario::ScenarioBuild build_scenario_or_die(
-    const std::string& spec,
-    const scenario::ScenarioOptions& opts = scenario::ScenarioOptions{}) {
+  auto recorder = std::make_unique<telemetry::TelemetryRecorder>(
+      telemetry::RecorderOptions{
+          .timing = true, .keep_rounds = false, .keep_spans = false});
+  opts.sim.collect_phase_timings = true;
+  opts.sim.telemetry = recorder.get();
+  const std::size_t max_rounds = opts.max_rounds;
+  const std::string what = opts.detector + " on " +
+                           (workload ? "a scripted workload" : opts.scenario);
   std::string error;
-  auto built = scenario::build_scenario(spec, opts, &error);
-  if (!built) {
-    std::fprintf(stderr, "bench: bad scenario '%s': %s\n", spec.c_str(),
+  std::optional<detect::Session> session =
+      workload ? detect::Session::open(std::move(opts), std::move(workload),
+                                       nodes, &error)
+               : detect::Session::open(std::move(opts), &error);
+  if (!session) {
+    std::fprintf(stderr, "bench: cannot run %s: %s\n", what.c_str(),
                  error.c_str());
     std::exit(1);
   }
-  return std::move(*built);
-}
-
-/// Builds a registry detector or dies loudly -- the bench-side twin of
-/// build_scenario_or_die, so a bench row names its algorithm by the same
-/// spec string `dynsub_run --detector` accepts and the two can never
-/// drift apart.
-inline std::unique_ptr<detect::Detector> build_detector_or_die(
-    const std::string& spec) {
-  std::string error;
-  auto detector = detect::build_detector(spec, &error);
-  if (detector == nullptr) {
-    std::fprintf(stderr, "bench: bad detector '%s': %s\n", spec.c_str(),
-                 error.c_str());
-    std::exit(1);
+  const auto start = std::chrono::steady_clock::now();
+  if (each_round) {
+    // Session::run()'s loop, with the hook after every round.
+    for (std::size_t r = 0; r < max_rounds && session->advance(); ++r) {
+      each_round(*session);
+    }
+    for (std::size_t r = 0; r < net::kDrainCap && !session->settled(); ++r) {
+      session->step({});
+      each_round(*session);
+    }
+  } else {
+    session->run();
   }
-  return detector;
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  harness::RunSummary s = harness::summarize_timed(session->sim(), wall);
+  s.latency_p50_ns = recorder->round_latency_ns().p50();
+  s.latency_p99_ns = recorder->round_latency_ns().p99();
+  perf_accumulator().add(s);
+  perf_accumulator().add_latency(recorder->round_latency_ns());
+  return SessionRun{std::move(recorder), std::move(*session), s};
 }
 
-/// The node factory of a registry detector (build_detector_or_die).
-inline net::NodeFactory detector_factory_or_die(const std::string& spec) {
-  return build_detector_or_die(spec)->factory();
+/// run_session over opts.scenario.
+inline SessionRun run_session(detect::SessionOptions opts,
+                              const RoundHook& each_round = {}) {
+  return run_session(std::move(opts), nullptr, 0, each_round);
+}
+
+/// A RoundHook keeping in `peak` the longest node queue seen after any
+/// round: the local work a constant-rounds bound must not hide.
+inline RoundHook track_queue_peak(std::size_t& peak) {
+  return [&peak](const detect::Session& session) {
+    for (NodeId v = 0; v < session.nodes(); ++v) {
+      peak = std::max(peak, session.sim().node(v).queue_length());
+    }
+  };
+}
+
+/// One curve of a sweep, as data: its label, the detector spec that runs
+/// it, and its scenario spec at each sweep point.  A point reproduces as
+/// `dynsub_run --scenario '<scenario(p)>' --detector '<detector>'`.
+struct Curve {
+  std::string label;
+  std::string detector;
+  std::function<std::string(std::size_t)> scenario;
+};
+
+/// Reads a finished session on its worker, before the session goes.
+using Inspect = std::function<void(std::size_t curve, std::size_t point,
+                                   const detect::Session&)>;
+
+/// The per-round hook of one (curve, point) run; an empty hook runs the
+/// whole Session::run().
+using HookFor = std::function<RoundHook(std::size_t curve, std::size_t point)>;
+
+/// Runs every curve at every sweep point on the harness pool, each point
+/// its own Session, and returns the summaries as [curve][point].
+inline std::vector<std::vector<harness::RunSummary>> run_sweep(
+    const std::vector<std::size_t>& points, const std::vector<Curve>& curves,
+    const Inspect& inspect = {}, const HookFor& hook_for = {}) {
+  std::vector<std::vector<harness::RunSummary>> out(
+      curves.size(), std::vector<harness::RunSummary>(points.size()));
+  harness::parallel_for(curves.size() * points.size(), [&](std::size_t i) {
+    const std::size_t c = i % curves.size();
+    const std::size_t p = i / curves.size();
+    const SessionRun run = run_session(
+        {.detector = curves[c].detector,
+         .scenario = curves[c].scenario(points[p])},
+        hook_for ? hook_for(c, p) : RoundHook{});
+    if (inspect) inspect(c, p, run.session);
+    out[c][p] = run.summary;
+  });
+  return out;
+}
+
+/// One report() series per curve: y = amortized rounds per change at
+/// x = x_of(point), or at x = the point itself when x_of is empty.
+inline std::vector<harness::Series> amortized_series(
+    const std::vector<std::size_t>& points, const std::vector<Curve>& curves,
+    const std::vector<std::vector<harness::RunSummary>>& runs,
+    const std::function<double(std::size_t)>& x_of = {}) {
+  std::vector<harness::Series> series;
+  for (std::size_t c = 0; c < curves.size(); ++c) {
+    harness::Series s{curves[c].label, {}};
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const double x =
+          x_of ? x_of(points[p]) : static_cast<double>(points[p]);
+      s.points.push_back({x, runs[c][p].amortized});
+    }
+    series.push_back(std::move(s));
+  }
+  return series;
+}
+
+/// The random-churn scenario of the size sweeps: at most 4 changes per
+/// round, a constant change rate, which is the flat-in-n demonstration.
+inline std::string random_churn_spec(std::size_t n, std::size_t target,
+                                     const std::string& rounds,
+                                     std::uint64_t seed) {
+  return "churn(n=" + std::to_string(n) + ", target=" +
+         std::to_string(target) + ", max=4, rounds=" + rounds +
+         ", seed=" + std::to_string(seed) + ")";
+}
+
+/// The session-churn scenario of the size sweeps (t1, t6, t7): session and
+/// offline lengths scale with n, so the expected number of topology
+/// changes per round stays constant across sizes.
+inline std::string session_churn_spec(std::size_t n, const std::string& rounds,
+                                      std::uint64_t seed) {
+  const double scale = static_cast<double>(n) / 32.0;
+  return "sessions(n=" + std::to_string(n) +
+         ", smin=" + format_shortest(4.0 * scale) +
+         ", offline=" + format_shortest(6.0 * scale) + ", rounds=" + rounds +
+         ", seed=" + std::to_string(seed) + ")";
+}
+
+/// A theory curve y = f(x) over the same x values, for shape comparison.
+inline harness::Series theory_series(const std::string& label,
+                                     const harness::Series& like,
+                                     const std::function<double(double)>& f) {
+  harness::Series s{label, {}};
+  for (const auto& pt : like.points) s.points.push_back({pt.x, f(pt.x)});
+  return s;
 }
 
 inline void Bench::print_block_header_impl(const std::string& exp_id,

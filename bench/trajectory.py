@@ -25,8 +25,15 @@ CHANGES.md.
 usage: trajectory.py [--history FILE] [--check]
 
 Without --check it prints, per workload and metric, the series of
-parent -> change medians in PR order.  --check validates every line and
-exits 1 on the first bad one (0 when all are valid).
+parent -> change medians in PR order, each line's change / parent ratio,
+and the chained product of those ratios: the metric's cumulative move
+over the measured PRs.  Absolute medians do not compare across lines,
+because each PR measured on its own host (churn_1m's parent median in
+the committed history ranges from 32k to 91k changes/s); ratios within a
+PR do.  A ratio is undefined (n/a) when the parent median is 0, and the
+product skips it.
+--check validates every line and exits 1 on the first bad one (0 when
+all are valid).
 """
 
 import argparse
@@ -42,11 +49,13 @@ HEX = re.compile(r"^[0-9a-f]{7,40}$")
 
 
 def benchmark_names():
-    """(workloads, gated metrics) declared by BENCHMARK.json."""
+    """(workloads, gated metrics, {metric: "higher"|"lower"}) declared by
+    BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     return ([w["name"] for w in bench["workloads"]],
-            [m["name"] for m in bench["end_to_end"]])
+            [m["name"] for m in bench["end_to_end"]],
+            {m["name"]: m["better"] for m in bench["end_to_end"]})
 
 
 def is_int(x):
@@ -122,7 +131,21 @@ def fmt(x):
     return "{:,.0f}".format(x) if abs(x) >= 1000 else "%.4g" % x
 
 
-def report(rows, workloads, metrics):
+def ratio(pair):
+    """change / parent, or None when the parent median is 0."""
+    return pair["change"] / pair["parent"] if pair["parent"] else None
+
+
+def chained(ratios):
+    """The product of the defined ratios (1.0 when none is)."""
+    product = 1.0
+    for r in ratios:
+        if r is not None:
+            product *= r
+    return product
+
+
+def report(rows, workloads, metrics, better):
     for workload in workloads:
         mine = [r for r in rows if r["workload"] == workload]
         if not mine:
@@ -133,13 +156,19 @@ def report(rows, workloads, metrics):
                       if metric in r["metrics"]]
             if not series:
                 continue
-            print("  %s" % metric)
+            print("  %s (%s is better)" % (metric, better[metric]))
             for r, pair in series:
                 seeds = len(set(r["seeds"]))
-                print("    PR %-3d %10s -> %-10s (%d pairs, %d seed%s, "
+                q = ratio(pair)
+                print("    PR %-3d %10s -> %-10s %9s  (%d pairs, %d seed%s, "
                       "nproc %d)" % (r["pr"], fmt(pair["parent"]),
-                                     fmt(pair["change"]), r["pairs"], seeds,
+                                     fmt(pair["change"]),
+                                     "n/a" if q is None else "x%.3f" % q,
+                                     r["pairs"], seeds,
                                      "" if seeds == 1 else "s", r["nproc"]))
+            print("    chained over %d PR%s: x%.3f" %
+                  (len(series), "" if len(series) == 1 else "s",
+                   chained(ratio(pair) for _, pair in series)))
 
 
 def main():
@@ -148,7 +177,7 @@ def main():
     ap.add_argument("--check", action="store_true",
                     help="validate the schema only")
     args = ap.parse_args()
-    workloads, metrics = benchmark_names()
+    workloads, metrics, better = benchmark_names()
     try:
         rows = load(args.history, workloads, metrics)
     except (OSError, ValueError) as e:
@@ -158,7 +187,7 @@ def main():
         print("trajectory.py: %d lines valid (%d PRs)" %
               (len(rows), len({r["pr"] for r in rows})))
         return 0
-    report(rows, workloads, metrics)
+    report(rows, workloads, metrics, better)
     return 0
 
 

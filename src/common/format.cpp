@@ -1,8 +1,10 @@
 #include "common/format.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace dynsub {
@@ -41,6 +43,36 @@ std::string format_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
+}
+
+void append_shortest(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";  // JSON has no inf/nan; null keeps the document valid
+    return;
+  }
+  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    out += buf;
+    return;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  for (int prec = 1; prec < 17; ++prec) {
+    char probe[40];
+    std::snprintf(probe, sizeof probe, "%.*g", prec, v);
+    if (std::strtod(probe, nullptr) == v) {
+      out += probe;
+      return;
+    }
+  }
+  out += buf;
+}
+
+std::string format_shortest(double v) {
+  std::string out;
+  append_shortest(out, v);
+  return out;
 }
 
 std::string render_table(const std::vector<std::vector<std::string>>& rows) {

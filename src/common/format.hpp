@@ -21,6 +21,17 @@ namespace dynsub {
 /// Fixed-precision double, e.g. format_double(3.14159, 2) == "3.14".
 [[nodiscard]] std::string format_double(double v, int precision);
 
+/// Appends the shortest decimal text that reads back as exactly `v`:
+/// integral values inside the exactly-representable window print without
+/// a fraction (counters stay the integers they are), everything else at
+/// the smallest %g precision that round-trips; non-finite values print as
+/// "null".  The JSON documents and the telemetry JSONL both print numbers
+/// this way, so their bytes are a pure function of the values.
+void append_shortest(std::string& out, double v);
+
+/// append_shortest into a fresh string.
+[[nodiscard]] std::string format_shortest(double v);
+
 /// Renders rows as a fixed-width ASCII table; the first row is the header.
 [[nodiscard]] std::string render_table(
     const std::vector<std::vector<std::string>>& rows);

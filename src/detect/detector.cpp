@@ -65,4 +65,43 @@ bool Detector::supports_list(QueryKind kind) const {
   return std::find(ls.begin(), ls.end(), kind) != ls.end();
 }
 
+const char* query_refusal(const Detector& detector, std::size_t nodes,
+                          NodeId v, const Query& q) {
+  if (v >= nodes) return "node id out of range";
+  // Shape first: kind_of aborts on cycles of unsupported size, so the size
+  // check must come before the support check.
+  if (const auto* tq = std::get_if<TriangleQuery>(&q)) {
+    if (tq->u == v || tq->w == v || tq->u == tq->w) {
+      return "triangle vertices must be distinct non-self nodes";
+    }
+  } else if (const auto* cq = std::get_if<CliqueQuery>(&q)) {
+    if (cq->others.empty()) return "clique query with no other members";
+    if (std::find(cq->others.begin(), cq->others.end(), v) !=
+        cq->others.end()) {
+      return "clique members must not include the queried node";
+    }
+  } else if (const auto* yq = std::get_if<CycleQuery>(&q)) {
+    if (yq->cycle.size() != 4 && yq->cycle.size() != 5) {
+      return "cycle queries take 4 or 5 vertices";
+    }
+    if (std::find(yq->cycle.begin(), yq->cycle.end(), v) ==
+        yq->cycle.end()) {
+      return "the queried node must be on the cycle";
+    }
+  }
+  if (!detector.supports_query(kind_of(q))) {
+    return "query kind not supported by this detector";
+  }
+  return nullptr;
+}
+
+const char* list_refusal(const Detector& detector, std::size_t nodes,
+                         NodeId v, QueryKind kind) {
+  if (v >= nodes) return "node id out of range";
+  if (!detector.supports_list(kind)) {
+    return "listing kind not supported by this detector";
+  }
+  return nullptr;
+}
+
 }  // namespace dynsub::detect

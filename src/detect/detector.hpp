@@ -106,14 +106,13 @@ using Query = std::variant<EdgeQuery, TriangleQuery, CliqueQuery, CycleQuery>;
 using SubgraphTuple = std::vector<NodeId>;
 
 /// Structured metadata: what this detector is and which shapes it answers.
+/// The registry name and summary live in the catalog
+/// (detect/registry.hpp), which also supplies `problem`.
 struct DetectorInfo {
-  /// Registry name ("triangle", "robust3hop", ...).
-  std::string name;
   /// Canonical spec this instance was built from, typed parameters
   /// included ("triangle(k=4)") -- parse_spec round-trips it.
   std::string spec;
   ProblemKind problem;
-  std::string summary;
   /// Supported query(...) shapes, ascending by enum value.
   std::vector<QueryKind> queries;
   /// Supported list(...) shapes, ascending by enum value.
@@ -136,8 +135,8 @@ class Detector {
   [[nodiscard]] virtual net::NodeFactory factory() const = 0;
 
   /// Uniform membership query at node v: a zero-communication const read.
-  /// The query's kind must be in info().queries (else this aborts -- an
-  /// unsupported shape is a caller bug, not a kFalse).  While v's
+  /// A malformed query (query_refusal() names why) aborts with the reason
+  /// -- an unsupported shape is a caller bug, not a kFalse.  While v's
   /// consistency flag is down the answer is kInconsistent, never a coerced
   /// kTrue/kFalse.
   [[nodiscard]] virtual net::Answer query(const net::Simulator& sim, NodeId v,
@@ -145,8 +144,8 @@ class Detector {
 
   /// Membership listing at node v: every occurrence of the shape through v
   /// (for kEdge: the maintained edge set), canonicalized and sorted.
-  /// Returns std::nullopt while v is inconsistent.  `kind` must be in
-  /// info().listings.
+  /// Returns std::nullopt while v is inconsistent.  A malformed listing
+  /// (list_refusal() names why) aborts with the reason.
   [[nodiscard]] virtual std::optional<std::vector<SubgraphTuple>> list(
       const net::Simulator& sim, NodeId v, QueryKind kind) const = 0;
 
@@ -159,5 +158,22 @@ class Detector {
   [[nodiscard]] bool supports_query(QueryKind kind) const;
   [[nodiscard]] bool supports_list(QueryKind kind) const;
 };
+
+/// The one statement of which queries are well-formed: why asking `q` at
+/// node v of a `nodes`-node simulator is malformed for `detector`, or
+/// nullptr when it may be asked.  v must be in range; a triangle's two
+/// vertices distinct and not v; a clique's other members non-empty and
+/// without v; a cycle 4 or 5 vertices long and through v; and the kind
+/// among info().queries.  Detector::query aborts with the reason; the
+/// serve loop answers kInconsistent with it, so a client's malformed
+/// request cannot crash the engine.
+[[nodiscard]] const char* query_refusal(const Detector& detector,
+                                        std::size_t nodes, NodeId v,
+                                        const Query& q);
+
+/// The same for list(): v in range and `kind` among info().listings.
+[[nodiscard]] const char* list_refusal(const Detector& detector,
+                                       std::size_t nodes, NodeId v,
+                                       QueryKind kind);
 
 }  // namespace dynsub::detect

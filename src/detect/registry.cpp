@@ -32,42 +32,20 @@ const NodeT& node_as(const net::Simulator& sim, NodeId v) {
 
 SubgraphTuple edge_tuple(Edge e) { return {e.lo(), e.hi()}; }
 
-/// One shape validation for the whole surface, so a malformed query is the
-/// same caller bug on every detector (the concrete nodes differ: some
-/// abort on self-in-candidate, some would fold it into kFalse).
-void check_query_shape(const Query& q, NodeId v) {
-  if (const auto* tq = std::get_if<TriangleQuery>(&q)) {
-    DYNSUB_CHECK_MSG(tq->u != v && tq->w != v && tq->u != tq->w,
-                     "TriangleQuery: u, w must be distinct non-self nodes");
-  } else if (const auto* cq = std::get_if<CliqueQuery>(&q)) {
-    DYNSUB_CHECK_MSG(!cq->others.empty(), "CliqueQuery: others is empty");
-    for (const NodeId u : cq->others) {
-      DYNSUB_CHECK_MSG(u != v,
-                       "CliqueQuery: others must not contain the queried "
-                       "node (it is implied)");
-    }
-  } else if (const auto* yq = std::get_if<CycleQuery>(&q)) {
-    DYNSUB_CHECK_MSG(
-        std::find(yq->cycle.begin(), yq->cycle.end(), v) != yq->cycle.end(),
-        "CycleQuery: the queried node must be on the cycle");
-  }
-}
-
-/// Metadata-checked entry into every adapter's query/list: the kind must be
-/// declared in info() -- asking a detector for a shape it never advertised
-/// is a programming error, not a kFalse.
+/// Metadata-checked entry into every adapter's query/list: a malformed
+/// request (detect::query_refusal / list_refusal) is a programming error,
+/// not a kFalse, and aborts naming the reason.  `problem` comes from the
+/// adapter's registry row, so the catalog states it once.
 class DetectorBase : public Detector {
  public:
+  explicit DetectorBase(ProblemKind problem) { info_.problem = problem; }
+
   [[nodiscard]] const DetectorInfo& info() const final { return info_; }
 
   [[nodiscard]] net::Answer query(const net::Simulator& sim, NodeId v,
                                   const Query& q) const final {
-    DYNSUB_CHECK_MSG(v < sim.node_count(),
-                     "query: node id out of range for this simulator");
-    DYNSUB_CHECK_MSG(supports_query(kind_of(q)),
-                     "query kind not supported by this detector (see "
-                     "DetectorInfo::queries)");
-    check_query_shape(q, v);
+    const char* why = query_refusal(*this, sim.node_count(), v, q);
+    DYNSUB_CHECK_MSG(why == nullptr, "query: " << why);
     // The engine's flag, not the program's: a node degraded by transport
     // loss has no way to know its state is stale, so its own answer
     // cannot be trusted until recovery completes.
@@ -77,11 +55,8 @@ class DetectorBase : public Detector {
 
   [[nodiscard]] std::optional<std::vector<SubgraphTuple>> list(
       const net::Simulator& sim, NodeId v, QueryKind kind) const final {
-    DYNSUB_CHECK_MSG(v < sim.node_count(),
-                     "list: node id out of range for this simulator");
-    DYNSUB_CHECK_MSG(supports_list(kind),
-                     "list kind not supported by this detector (see "
-                     "DetectorInfo::listings)");
+    const char* why = list_refusal(*this, sim.node_count(), v, kind);
+    DYNSUB_CHECK_MSG(why == nullptr, "list: " << why);
     if (!sim.consistency()[v]) return std::nullopt;
     auto tuples = do_list(sim, v, kind);
     std::sort(tuples.begin(), tuples.end());
@@ -117,13 +92,9 @@ std::vector<SubgraphTuple> edge_tuples_of(const MapOrSet& edges) {
 
 class TriangleDetector final : public DetectorBase {
  public:
-  explicit TriangleDetector(int k) : k_(k) {
-    info_.name = "triangle";
+  TriangleDetector(ProblemKind problem, int k)
+      : DetectorBase(problem), k_(k) {
     info_.spec = k == 3 ? "triangle" : "triangle(k=" + std::to_string(k) + ")";
-    info_.problem = ProblemKind::kCliqueMembership;
-    info_.summary =
-        "Thm 1 / Cor 1: triangle and k-clique membership listing, O(1) "
-        "amortized";
     info_.queries = {QueryKind::kEdge, QueryKind::kTriangle,
                      QueryKind::kClique};
     info_.listings = {QueryKind::kTriangle, QueryKind::kClique};
@@ -178,12 +149,8 @@ class TriangleDetector final : public DetectorBase {
 
 class Robust2HopDetector final : public DetectorBase {
  public:
-  Robust2HopDetector() {
-    info_.name = "robust2hop";
+  explicit Robust2HopDetector(ProblemKind problem) : DetectorBase(problem) {
     info_.spec = "robust2hop";
-    info_.problem = ProblemKind::kRobust2Hop;
-    info_.summary =
-        "Thm 7: robust 2-hop neighborhood listing, O(1) amortized";
     info_.queries = {QueryKind::kEdge};
     info_.listings = {QueryKind::kEdge};
   }
@@ -213,15 +180,10 @@ class Robust2HopDetector final : public DetectorBase {
 
 class Robust3HopDetector final : public DetectorBase {
  public:
-  explicit Robust3HopDetector(core::Robust3HopOptions options)
-      : options_(options) {
-    info_.name = "robust3hop";
+  Robust3HopDetector(ProblemKind problem, core::Robust3HopOptions options)
+      : DetectorBase(problem), options_(options) {
     info_.spec = options.paper_literal_l2_forward ? "robust3hop(l2=1)"
                                                   : "robust3hop";
-    info_.problem = ProblemKind::kRobust3Hop;
-    info_.summary =
-        "Thms 6/5: robust 3-hop neighborhood and 4-/5-cycle listing, O(1) "
-        "amortized";
     info_.queries = {QueryKind::kEdge, QueryKind::kCycle4, QueryKind::kCycle5};
     info_.listings = {QueryKind::kEdge, QueryKind::kCycle4,
                       QueryKind::kCycle5};
@@ -271,13 +233,8 @@ class Robust3HopDetector final : public DetectorBase {
 
 class Naive2HopDetector final : public DetectorBase {
  public:
-  Naive2HopDetector() {
-    info_.name = "naive2hop";
+  explicit Naive2HopDetector(ProblemKind problem) : DetectorBase(problem) {
     info_.spec = "naive2hop";
-    info_.problem = ProblemKind::kNaive2Hop;
-    info_.summary =
-        "Sec 1.3 strawman: timestamp-free 2-hop tracking (confidently wrong "
-        "under flicker)";
     info_.queries = {QueryKind::kEdge};
     info_.listings = {QueryKind::kEdge};
   }
@@ -302,12 +259,8 @@ class Naive2HopDetector final : public DetectorBase {
 
 class Full2HopDetector final : public DetectorBase {
  public:
-  Full2HopDetector() {
-    info_.name = "full2hop";
+  explicit Full2HopDetector(ProblemKind problem) : DetectorBase(problem) {
     info_.spec = "full2hop";
-    info_.problem = ProblemKind::kFull2Hop;
-    info_.summary =
-        "Lemma 1: full 2-hop neighborhood listing, Theta(n/log n) amortized";
     info_.queries = {QueryKind::kEdge, QueryKind::kTriangle,
                      QueryKind::kClique};
     info_.listings = {QueryKind::kEdge};
@@ -354,13 +307,9 @@ class Full2HopDetector final : public DetectorBase {
 
 class FloodDetector final : public DetectorBase {
  public:
-  explicit FloodDetector(int radius) : radius_(radius) {
-    info_.name = "flood";
+  FloodDetector(ProblemKind problem, int radius)
+      : DetectorBase(problem), radius_(radius) {
     info_.spec = "flood(radius=" + std::to_string(radius) + ")";
-    info_.problem = ProblemKind::kFloodKHop;
-    info_.summary =
-        "bounded-bandwidth r-hop flooding: the practitioner's baseline the "
-        "lower bounds are measured against";
     info_.queries = {QueryKind::kEdge, QueryKind::kCycle4, QueryKind::kCycle5};
     info_.listings = {QueryKind::kEdge};
   }
@@ -393,7 +342,9 @@ class FloodDetector final : public DetectorBase {
 
 // ------------------------------------------------------- the registries ----
 
-using Builder = std::unique_ptr<Detector> (*)(const SpecNode&, std::string*);
+/// Builds one registry row's detector; `problem` is the row's own.
+using Builder = std::unique_ptr<Detector> (*)(const SpecNode&, ProblemKind,
+                                              std::string*);
 
 bool forbid_children(const SpecNode& node, Params& p) {
   if (!node.children.empty()) {
@@ -404,6 +355,7 @@ bool forbid_children(const SpecNode& node, Params& p) {
 }
 
 std::unique_ptr<Detector> build_triangle(const SpecNode& node,
+                                         ProblemKind problem,
                                          std::string* error) {
   Params p(node, error, "detector");
   if (!forbid_children(node, p)) return nullptr;
@@ -414,41 +366,46 @@ std::unique_ptr<Detector> build_triangle(const SpecNode& node,
            " is out of range (clique size must be in [3, 16])");
     return nullptr;
   }
-  return std::make_unique<TriangleDetector>(static_cast<int>(k));
+  return std::make_unique<TriangleDetector>(problem, static_cast<int>(k));
 }
 
 std::unique_ptr<Detector> build_robust2hop(const SpecNode& node,
+                                           ProblemKind problem,
                                            std::string* error) {
   Params p(node, error, "detector");
   if (!forbid_children(node, p) || !p.finish()) return nullptr;
-  return std::make_unique<Robust2HopDetector>();
+  return std::make_unique<Robust2HopDetector>(problem);
 }
 
 std::unique_ptr<Detector> build_robust3hop(const SpecNode& node,
+                                           ProblemKind problem,
                                            std::string* error) {
   Params p(node, error, "detector");
   if (!forbid_children(node, p)) return nullptr;
   core::Robust3HopOptions options;
   options.paper_literal_l2_forward = p.u64("l2", 0) != 0;
   if (!p.finish()) return nullptr;
-  return std::make_unique<Robust3HopDetector>(options);
+  return std::make_unique<Robust3HopDetector>(problem, options);
 }
 
 std::unique_ptr<Detector> build_naive2hop(const SpecNode& node,
+                                          ProblemKind problem,
                                           std::string* error) {
   Params p(node, error, "detector");
   if (!forbid_children(node, p) || !p.finish()) return nullptr;
-  return std::make_unique<Naive2HopDetector>();
+  return std::make_unique<Naive2HopDetector>(problem);
 }
 
 std::unique_ptr<Detector> build_full2hop(const SpecNode& node,
+                                         ProblemKind problem,
                                          std::string* error) {
   Params p(node, error, "detector");
   if (!forbid_children(node, p) || !p.finish()) return nullptr;
-  return std::make_unique<Full2HopDetector>();
+  return std::make_unique<Full2HopDetector>(problem);
 }
 
 std::unique_ptr<Detector> build_flood(const SpecNode& node,
+                                      ProblemKind problem,
                                       std::string* error) {
   Params p(node, error, "detector");
   if (!forbid_children(node, p)) return nullptr;
@@ -459,7 +416,7 @@ std::unique_ptr<Detector> build_flood(const SpecNode& node,
            " is out of range (must be in [2, 6])");
     return nullptr;
   }
-  return std::make_unique<FloodDetector>(static_cast<int>(radius));
+  return std::make_unique<FloodDetector>(problem, static_cast<int>(radius));
 }
 
 struct DetectorEntry {
@@ -541,7 +498,7 @@ std::string describe_detectors() {
 std::unique_ptr<Detector> build_detector(const scenario::SpecNode& node,
                                          std::string* error) {
   for (const auto& e : kEntries) {
-    if (node.name == e.name) return e.build(node, error);
+    if (node.name == e.name) return e.build(node, e.problem, error);
   }
   for (const auto& a : kAliases) {
     if (node.name != a.name) continue;

@@ -99,9 +99,8 @@ std::size_t Session::run() {
   // the final metrics describe a settled network.  Unrecorded -- a replay's
   // own drain re-executes them; record_next_round back-fills them as empty
   // batches if another recorded round follows later.
-  constexpr std::size_t kDrainCap = 1000;
   std::size_t drained = 0;
-  while (drained < kDrainCap && !sim_->all_consistent()) {
+  while (drained < net::kDrainCap && !sim_->all_consistent()) {
     sim_->step({});
     ++rounds;
     ++drained;

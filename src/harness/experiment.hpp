@@ -28,7 +28,7 @@ struct RunSummary {
   std::uint64_t messages = 0;
   std::uint64_t payload_bits = 0;
   // Wall-clock perf (the BENCH_*.json trajectory): filled by the caller
-  // that timed the run (see bench_util.hpp run_experiment); zero when the
+  // that timed the run (see bench_util.hpp run_session); zero when the
   // run was not timed.
   double wall_seconds = 0.0;
   double rounds_per_sec = 0.0;

@@ -1,11 +1,10 @@
 #include "harness/json.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "common/check.hpp"
+#include "common/format.hpp"
 
 namespace dynsub::harness {
 
@@ -110,33 +109,6 @@ void escape_to(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void number_to(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";  // JSON has no inf/nan; null keeps the document valid
-    return;
-  }
-  // Integral values inside the exactly-representable window print without
-  // a fraction, so counters round-trip as the integers they are.
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    out += buf;
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[40];
-    std::snprintf(probe, sizeof probe, "%.*g", prec, v);
-    if (std::strtod(probe, nullptr) == v) {
-      out += probe;
-      return;
-    }
-  }
-  out += buf;
-}
-
 }  // namespace
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
@@ -154,7 +126,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: number_to(out, number_); break;
+    case Type::kNumber: append_shortest(out, number_); break;
     case Type::kString: escape_to(out, string_); break;
     case Type::kArray: {
       if (items_.empty()) {

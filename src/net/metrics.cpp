@@ -1,6 +1,8 @@
 #include "net/metrics.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <ostream>
 
 #include "common/check.hpp"
 
@@ -40,6 +42,21 @@ double Metrics::per_node_amortized_sup() const {
                      static_cast<double>(node_inconsistent_[v]) / denom);
   }
   return worst;
+}
+
+void write_shard_jsonl(std::ostream& out,
+                       std::span<const ShardStats> per_shard) {
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
+    const ShardStats& st = per_shard[s];
+    const std::uint64_t values[] = {s, st.frames, st.wire_bytes, st.faults,
+                                    st.lost_batches};
+    static_assert(std::size(values) == kShardRecordKeys.size());
+    for (std::size_t k = 0; k < kShardRecordKeys.size(); ++k) {
+      out << (k == 0 ? "{\"" : ",\"") << kShardRecordKeys[k] << "\":"
+          << values[k];
+    }
+    out << "}\n";
+  }
 }
 
 }  // namespace dynsub::net

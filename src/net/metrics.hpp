@@ -11,7 +11,10 @@
 // bandwidth-shape benches.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -119,6 +122,16 @@ struct ShardStats {
 
   friend bool operator==(const ShardStats&, const ShardStats&) = default;
 };
+
+/// The fixed key order of one per-shard JSONL record: the shard id, then
+/// ShardStats' four counters.  write_shard_jsonl writes exactly these keys
+/// and dynsub_stats validates against them.
+inline constexpr std::array<const char*, 5> kShardRecordKeys = {
+    "shard", "frames", "wire_bytes", "faults", "lost_batches"};
+
+/// One compact JSON object per shard, '\n'-terminated, numbered from 0.
+void write_shard_jsonl(std::ostream& out,
+                       std::span<const ShardStats> per_shard);
 
 class Metrics {
  public:

@@ -83,10 +83,6 @@ class ShardFabric {
     DYNSUB_DCHECK(shard < routers_.size());
     return routers_[shard];
   }
-  [[nodiscard]] Router& router_mut(std::size_t shard) {
-    DYNSUB_DCHECK(shard < routers_.size());
-    return routers_[shard];
-  }
 
   // --- the Transport surface: one ingress frame per (shard, slot) -------
   //

@@ -275,10 +275,6 @@ class Simulator {
   /// fabric at S = 1).
   [[nodiscard]] const Router& router() const { return fabric_.router(0); }
 
-  /// The partitioned routing fabric (for tests / shard instrumentation).
-  [[nodiscard]] const ShardFabric& fabric() const { return fabric_; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_; }
-
   /// Outbox scratch slots currently held -- one per execution lane, never
   /// one per node (the regression surface for the old pool's dense-
   /// bootstrap high-water retention).

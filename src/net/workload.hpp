@@ -61,6 +61,11 @@ class ScriptedWorkload final : public Workload {
 
 class Simulator;
 
+/// The most quiet rounds a run adds after its workload finishes, so the
+/// final metrics describe a settled network: run_workload's default,
+/// Session::run()'s drain and the serve loop's settle all stop here.
+inline constexpr std::size_t kDrainCap = 1000;
+
 /// Drives `sim` with `workload` until the workload reports finished or
 /// `max_rounds` workload-driven rounds elapse (the cutoff path for
 /// workloads that never report finished()), then runs a trailing drain of
@@ -70,6 +75,7 @@ class Simulator;
 /// 0 caps the run at exactly max_rounds.  Returns the number of rounds
 /// executed.
 std::size_t run_workload(Simulator& sim, Workload& workload,
-                         std::size_t max_rounds, std::size_t drain_cap = 1000);
+                         std::size_t max_rounds,
+                         std::size_t drain_cap = kDrainCap);
 
 }  // namespace dynsub::net

@@ -36,10 +36,6 @@ class Clock {
   /// Called by the serve loop once per completed engine round; simulated
   /// clocks tick here, real clocks ignore it.
   virtual void advance_round() {}
-
-  /// True when now_ns() is simulated (deterministic) time.  The serve
-  /// loop refuses to feed WallClock latencies into byte-equality surfaces.
-  [[nodiscard]] virtual bool is_simulated() const = 0;
 };
 
 /// Deterministic simulated time: now_ns() == ticks_so_far * tick_ns.
@@ -55,7 +51,6 @@ class SimClock final : public Clock {
 
   [[nodiscard]] std::uint64_t now_ns() override { return now_ns_; }
   void advance_round() override { now_ns_ += tick_ns_; }
-  [[nodiscard]] bool is_simulated() const override { return true; }
 
   /// Manual advance for tests that simulate mid-round arrivals.
   void advance_ns(std::uint64_t ns) { now_ns_ += ns; }
@@ -79,7 +74,6 @@ class WallClock final : public Clock {
             std::chrono::steady_clock::now() - epoch_)
             .count());
   }
-  [[nodiscard]] bool is_simulated() const override { return false; }
 
  private:
   std::chrono::steady_clock::time_point epoch_;

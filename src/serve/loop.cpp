@@ -2,53 +2,31 @@
 
 #include <algorithm>
 #include <utility>
-#include <variant>
+
+#include "net/workload.hpp"
 
 namespace dynsub::serve {
 
 namespace {
 
-/// Mirrors the detector surface's aborting shape/support CHECKs as
-/// refusals: those guards treat a malformed query as a programming error,
-/// but a long-lived daemon's requests come from clients, and a client
-/// must never be able to crash the engine.  Returns nullptr when the
-/// request is safe to evaluate, else the refusal reason (the response
-/// answers kInconsistent and carries it in `detail`).
+/// The detector surface's validity rules (detect::query_refusal and
+/// list_refusal) as refusals: the surface aborts on a malformed query, a
+/// programming error in a library caller, but a long-lived daemon's
+/// requests come from clients, and a client must never be able to crash
+/// the engine.  Returns nullptr when the request is safe to evaluate, else
+/// the refusal reason (the response answers kInconsistent and carries it
+/// in `detail`).
 const char* refusal_reason(const detect::Session& session,
                            const Request& req) {
-  if (req.kind == RequestKind::kAudit) return nullptr;
-  if (req.node >= session.nodes()) return "node id out of range";
-  if (req.kind == RequestKind::kList) {
-    if (!session.detector().supports_list(req.list_kind)) {
-      return "listing kind not supported by this detector";
-    }
-    return nullptr;
-  }
-  // kQuery: shape first -- kind_of itself aborts on cycles of unsupported
-  // size, so the size check must come before the support check.
-  if (const auto* tq = std::get_if<detect::TriangleQuery>(&req.query)) {
-    if (tq->u == req.node || tq->w == req.node || tq->u == tq->w) {
-      return "triangle vertices must be distinct non-self nodes";
-    }
-  } else if (const auto* cq =
-                 std::get_if<detect::CliqueQuery>(&req.query)) {
-    if (cq->others.empty()) return "clique query with no other members";
-    for (const NodeId u : cq->others) {
-      if (u == req.node) {
-        return "clique members must not include the queried node";
-      }
-    }
-  } else if (const auto* yq = std::get_if<detect::CycleQuery>(&req.query)) {
-    if (yq->cycle.size() != 4 && yq->cycle.size() != 5) {
-      return "cycle queries take 4 or 5 vertices";
-    }
-    if (std::find(yq->cycle.begin(), yq->cycle.end(), req.node) ==
-        yq->cycle.end()) {
-      return "the queried node must be on the cycle";
-    }
-  }
-  if (!session.detector().supports_query(detect::kind_of(req.query))) {
-    return "query kind not supported by this detector";
+  switch (req.kind) {
+    case RequestKind::kQuery:
+      return detect::query_refusal(session.detector(), session.nodes(),
+                                   req.node, req.query);
+    case RequestKind::kList:
+      return detect::list_refusal(session.detector(), session.nodes(),
+                                  req.node, req.list_kind);
+    case RequestKind::kAudit:
+      break;
   }
   return nullptr;
 }
@@ -121,7 +99,7 @@ std::size_t ServeLoop::run(const RequestScript& script,
     const bool idle = !blocked && cursor >= total &&
                       session_.workload_finished() && queue_.depth() == 0;
     if (idle) {
-      if (session_.settled() || settle >= config_.drain_cap) break;
+      if (session_.settled() || settle >= net::kDrainCap) break;
       ++settle;
     }
 

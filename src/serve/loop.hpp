@@ -57,9 +57,6 @@ struct ServeConfig {
   std::size_t drain_budget = 0;
   /// Hard cap on rounds executed by run() (safety net, like Session's).
   std::size_t max_rounds = 1000000;
-  /// Quiet rounds allowed for settling after script + workload + queue are
-  /// all exhausted (mirrors run_workload's trailing drain).
-  std::size_t drain_cap = 1000;
 };
 
 /// What a serve run did, in numbers.  latency_ns is the round-to-answer
@@ -87,7 +84,9 @@ class ServeLoop {
   /// Drives the whole scripted run: submits each scheduled request while
   /// its round is in flight, steps churn rounds, answers at barriers, and
   /// keeps going until the script and workload are exhausted, the queue is
-  /// empty, and the network settles (bounded by max_rounds/drain_cap).
+  /// empty, and the network settles (bounded by max_rounds, and by
+  /// net::kDrainCap quiet rounds of settling, run_workload's trailing
+  /// drain).
   /// `on_answer` sees every Response -- answers and sheds -- in
   /// deterministic order.  Returns the number of rounds executed.
   std::size_t run(const RequestScript& script, const AnswerFn& on_answer);

@@ -1,46 +1,16 @@
 #include "telemetry/export.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <string>
 
+#include "common/check.hpp"
+#include "common/format.hpp"
+
 namespace dynsub::telemetry {
 
 namespace {
-
-// Shortest-round-trip double formatting, byte-for-byte the same policy as
-// the harness JSON layer (harness/json.cpp): integral values inside the
-// exactly-representable window print without a fraction, everything else
-// at the smallest precision that round-trips.  Duplicated on purpose --
-// telemetry depends only on the standard library so the engine headers
-// can include it without layering cycles.
-void number_to(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    out += buf;
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[40];
-    std::snprintf(probe, sizeof probe, "%.*g", prec, v);
-    if (std::strtod(probe, nullptr) == v) {
-      out += probe;
-      return;
-    }
-  }
-  out += buf;
-}
 
 void u64_to(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -48,28 +18,35 @@ void u64_to(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
-void key_u64(std::string& out, const char* key, std::uint64_t v,
-             bool first = false) {
-  if (!first) out += ',';
-  out += '"';
-  out += key;
-  out += "\":";
-  u64_to(out, v);
-}
+/// Appends one record's `"key":value` pairs in the order of its key list.
+class RecordLine {
+ public:
+  RecordLine(std::string& out, std::span<const char* const> keys)
+      : out_(out), keys_(keys) {}
 
-void key_double(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  number_to(out, v);
-}
+  void u64(std::uint64_t v) { u64_to(key(), v); }
+  void real(double v) { append_shortest(key(), v); }
+  void boolean(bool v) { key() += v ? "true" : "false"; }
 
-void key_bool(std::string& out, const char* key, bool v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
+  /// Closes the record; every key must have been written.
+  void end() {
+    DYNSUB_CHECK(next_ == keys_.size());
+    out_ += "}\n";
+  }
+
+ private:
+  std::string& key() {
+    DYNSUB_CHECK(next_ < keys_.size());
+    out_ += next_ == 0 ? "{\"" : ",\"";
+    out_ += keys_[next_++];
+    out_ += "\":";
+    return out_;
+  }
+
+  std::string& out_;
+  std::span<const char* const> keys_;
+  std::size_t next_ = 0;
+};
 
 }  // namespace
 
@@ -78,31 +55,31 @@ void write_round_jsonl(std::ostream& os,
   std::string line;
   for (const RoundRecord& r : rounds) {
     line.clear();
-    line += '{';
-    key_u64(line, "round", r.round, /*first=*/true);
-    key_u64(line, "changes", r.changes);
-    key_u64(line, "active", r.active);
-    key_u64(line, "stepped", r.stepped);
-    key_u64(line, "messages", r.messages);
-    key_u64(line, "payload_bits", r.payload_bits);
-    key_u64(line, "inconsistent_nodes", r.inconsistent_nodes);
-    key_u64(line, "flips_down", r.flips_down);
-    key_u64(line, "flips_up", r.flips_up);
-    key_u64(line, "degraded_nodes", r.degraded_nodes);
-    key_bool(line, "had_loss", r.had_loss);
-    key_u64(line, "transport_retries", r.transport_retries);
-    key_u64(line, "transport_drops", r.transport_drops);
-    key_u64(line, "transport_corruptions", r.transport_corruptions);
-    key_u64(line, "transport_redeliveries", r.transport_redeliveries);
-    key_u64(line, "transport_backoff_units", r.transport_backoff_units);
-    key_u64(line, "transport_lost_batches", r.transport_lost_batches);
-    key_u64(line, "transport_degraded_marks", r.transport_degraded_marks);
-    key_u64(line, "transport_recovery_events", r.transport_recovery_events);
-    key_u64(line, "inconsistent_rounds", r.inconsistent_rounds);
-    key_u64(line, "changes_total", r.changes_total);
-    key_double(line, "amortized", r.amortized);
-    key_double(line, "amortized_sup", r.amortized_sup);
-    line += "}\n";
+    RecordLine rec(line, kRoundRecordKeys);
+    rec.u64(r.round);
+    rec.u64(r.changes);
+    rec.u64(r.active);
+    rec.u64(r.stepped);
+    rec.u64(r.messages);
+    rec.u64(r.payload_bits);
+    rec.u64(r.inconsistent_nodes);
+    rec.u64(r.flips_down);
+    rec.u64(r.flips_up);
+    rec.u64(r.degraded_nodes);
+    rec.boolean(r.had_loss);
+    rec.u64(r.transport_retries);
+    rec.u64(r.transport_drops);
+    rec.u64(r.transport_corruptions);
+    rec.u64(r.transport_redeliveries);
+    rec.u64(r.transport_backoff_units);
+    rec.u64(r.transport_lost_batches);
+    rec.u64(r.transport_degraded_marks);
+    rec.u64(r.transport_recovery_events);
+    rec.u64(r.inconsistent_rounds);
+    rec.u64(r.changes_total);
+    rec.real(r.amortized);
+    rec.real(r.amortized_sup);
+    rec.end();
     os << line;
   }
 }
@@ -149,9 +126,9 @@ void write_chrome_trace(std::ostream& os,
       out += "\",\"ph\":\"X\",\"pid\":0,\"tid\":";
       u64_to(out, s.lane);
       out += ",\"ts\":";
-      number_to(out, static_cast<double>(s.start_ns - epoch) / 1000.0);
+      append_shortest(out, static_cast<double>(s.start_ns - epoch) / 1000.0);
       out += ",\"dur\":";
-      number_to(out, static_cast<double>(s.dur_ns) / 1000.0);
+      append_shortest(out, static_cast<double>(s.dur_ns) / 1000.0);
       out += ",\"args\":{\"round\":";
       u64_to(out, s.round);
       out += "}}";

@@ -16,6 +16,7 @@
 //     byte-equality gate.
 #pragma once
 
+#include <array>
 #include <iosfwd>
 #include <span>
 
@@ -23,6 +24,36 @@
 #include "telemetry/sink.hpp"
 
 namespace dynsub::telemetry {
+
+/// The fixed key order of one round record, RoundRecord's fields in
+/// declaration order.  write_round_jsonl writes exactly these keys and
+/// dynsub_stats validates against them; "had_loss" is the one boolean,
+/// "amortized" and "amortized_sup" the doubles, the rest are integers.
+inline constexpr std::array<const char*, 23> kRoundRecordKeys = {
+    "round",
+    "changes",
+    "active",
+    "stepped",
+    "messages",
+    "payload_bits",
+    "inconsistent_nodes",
+    "flips_down",
+    "flips_up",
+    "degraded_nodes",
+    "had_loss",
+    "transport_retries",
+    "transport_drops",
+    "transport_corruptions",
+    "transport_redeliveries",
+    "transport_backoff_units",
+    "transport_lost_batches",
+    "transport_degraded_marks",
+    "transport_recovery_events",
+    "inconsistent_rounds",
+    "changes_total",
+    "amortized",
+    "amortized_sup",
+};
 
 /// One compact JSON object per record, '\n'-terminated.  Key order and
 /// number formatting are part of the byte-equality contract -- extend

@@ -138,9 +138,4 @@ class TelemetrySink {
   [[nodiscard]] virtual bool timing_enabled() const { return false; }
 };
 
-/// The explicit do-nothing sink: attaching it is equivalent to attaching
-/// nothing (the engine's null check already compiles the hot path down to
-/// a branch); exists so call sites can hand "a sink" around uniformly.
-class NullSink final : public TelemetrySink {};
-
 }  // namespace dynsub::telemetry

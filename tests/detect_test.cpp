@@ -203,6 +203,19 @@ TEST(DetectFootprintTest, ForeignStoreAborts) {
 
 // ------------------------------------------------- uniform query surface ----
 
+// The surface aborts on a malformed query with the very reason the serve
+// loop answers a client with (detect::query_refusal).
+TEST(DetectorSurfaceTest, MalformedQueryAbortsWithTheRefusalReason) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto triangle = detect::build_detector("triangle");
+  const net::Simulator sim(4, triangle->factory());
+  const detect::Query q = detect::TriangleQuery{0, 1};
+  const char* why = detect::query_refusal(*triangle, sim.node_count(), 0, q);
+  ASSERT_NE(why, nullptr);
+  EXPECT_STREQ(why, "triangle vertices must be distinct non-self nodes");
+  EXPECT_DEATH((void)triangle->query(sim, 0, q), why);
+}
+
 TEST(DetectorSurfaceTest, TriangleAnswersEveryDeclaredShape) {
   auto s = manual_session("triangle(k=4)", 6);
   // K4 on {0,1,2,3}.

@@ -408,6 +408,71 @@ TEST(ServeLoopTest, EveryCatalogDetectorAnswersEveryVerb) {
   }
 }
 
+TEST(ServeLoopTest, EveryMalformedShapeIsRefusedByEveryCatalogDetector) {
+  // Each malformed query or listing, sent to every registry detector, is
+  // answered (status ok) as kInconsistent with the detect layer's reason
+  // in `detail`; the session's 16 nodes put 16 out of range.
+  const NodeId v = 2;
+  const std::vector<detect::Query> malformed_queries = {
+      detect::TriangleQuery{v, 5},                 // self
+      detect::TriangleQuery{5, 5},                 // u == w
+      detect::CliqueQuery{{}},                     // no other members
+      detect::CliqueQuery{{1, v, 3}},              // queried node inside
+      detect::CycleQuery{{v, 3, 4}},               // 3 vertices
+      detect::CycleQuery{{v, 3, 4, 5, 6, 7}},      // 6 vertices
+      detect::CycleQuery{{3, 4, 5, 6}},            // v off the cycle
+  };
+  const detect::QueryKind kinds[] = {
+      detect::QueryKind::kEdge, detect::QueryKind::kTriangle,
+      detect::QueryKind::kClique, detect::QueryKind::kCycle4,
+      detect::QueryKind::kCycle5};
+  const detect::Query well_formed[] = {
+      detect::EdgeQuery{Edge{v, 3}}, detect::TriangleQuery{3, 4},
+      detect::CliqueQuery{{3, 4}}, detect::CycleQuery{{v, 3, 4, 5}},
+      detect::CycleQuery{{v, 3, 4, 5, 6}}};
+  for (const detect::DetectorCatalogEntry& info : detect::detector_catalog()) {
+    detect::SessionOptions opts;
+    opts.detector = info.example;
+    opts.scenario = "churn(n=16, rounds=10, seed=1)";
+    std::string error;
+    auto session = detect::Session::open(std::move(opts), &error);
+    ASSERT_TRUE(session.has_value()) << info.example << ": " << error;
+    const detect::Detector& det = session->detector();
+    serve::RequestScript script;
+    auto query = [&](NodeId node, const detect::Query& q) {
+      serve::ScriptedRequest e;
+      e.round = 3;
+      e.request.node = node;
+      e.request.query = q;
+      script.entries.push_back(e);
+    };
+    auto list = [&](NodeId node, detect::QueryKind kind) {
+      serve::ScriptedRequest e;
+      e.round = 3;
+      e.request.kind = serve::RequestKind::kList;
+      e.request.node = node;
+      e.request.list_kind = kind;
+      script.entries.push_back(e);
+    };
+    for (const detect::Query& q : malformed_queries) query(v, q);
+    query(16, detect::EdgeQuery{Edge{0, 1}});
+    list(16, detect::QueryKind::kEdge);
+    for (std::size_t i = 0; i < std::size(kinds); ++i) {
+      if (!det.supports_query(kinds[i])) query(v, well_formed[i]);
+      if (!det.supports_list(kinds[i])) list(v, kinds[i]);
+    }
+    const ScriptedRun run = run_scripted(*session, script);
+    ASSERT_EQ(run.responses.size(), script.entries.size()) << info.example;
+    for (std::size_t i = 0; i < run.responses.size(); ++i) {
+      const serve::Response& r = run.responses[i];
+      EXPECT_EQ(r.status, serve::Status::kOk) << info.example << " #" << i;
+      EXPECT_EQ(r.answer, net::Answer::kInconsistent)
+          << info.example << " #" << i;
+      EXPECT_FALSE(r.detail.empty()) << info.example << " #" << i;
+    }
+  }
+}
+
 // ----------------------------------------------------------- backpressure ----
 
 serve::RequestScript burst_script(std::size_t count, Round round) {

@@ -14,8 +14,12 @@
 //   * the Chrome trace export is valid JSON with one named track per
 //     lane, and a telemetry-free or timing-free run performs no timing
 //     work (no spans, phase_timings untouched).
+//
+// It also pins each JSONL writer (round, shard, serve answer) to the key
+// list exported beside it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <sstream>
 #include <string>
@@ -25,8 +29,10 @@
 #include "dynamics/random_churn.hpp"
 #include "harness/json.hpp"
 #include "net/faults.hpp"
+#include "net/metrics.hpp"
 #include "net/simulator.hpp"
 #include "net/workload.hpp"
+#include "serve/export.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/recorder.hpp"
@@ -478,6 +484,54 @@ TEST(ChromeTraceTest, TracksAreNamedByShardGrid) {
   EXPECT_EQ(track_names[1.0], "shard0/lane1");
   EXPECT_EQ(track_names[2.0], "shard1/lane0");
   EXPECT_EQ(track_names[3.0], "shard1/lane1");
+}
+
+// ------------------------------------------------------- JSONL schemas ----
+
+/// The member keys of one JSONL line, in written order.
+std::vector<std::string> keys_of(const std::string& line) {
+  const auto doc = harness::Json::parse(line);
+  EXPECT_TRUE(doc.has_value()) << line;
+  std::vector<std::string> keys;
+  if (doc) {
+    for (const auto& [key, value] : doc->members()) keys.push_back(key);
+  }
+  return keys;
+}
+
+template <std::size_t N>
+std::vector<std::string> as_strings(const std::array<const char*, N>& keys) {
+  return {keys.begin(), keys.end()};
+}
+
+// Each JSONL writer's line carries exactly the key list exported beside
+// it, in order: the lists are what dynsub_stats validates against, so a
+// writer drifting from its list is a schema break.
+TEST(JsonlSchemaTest, EachWriterCarriesExactlyItsExportedKeysInOrder) {
+  RoundRecord round;
+  round.round = 3;
+  round.had_loss = true;
+  round.amortized = 0.25;
+  std::ostringstream rounds;
+  telemetry::write_round_jsonl(rounds, std::span<const RoundRecord>(&round, 1));
+  EXPECT_EQ(keys_of(rounds.str()), as_strings(telemetry::kRoundRecordKeys));
+
+  const std::vector<net::ShardStats> per_shard{{1, 2, 3, 4}, {5, 6, 7, 8}};
+  std::ostringstream shards;
+  net::write_shard_jsonl(shards, per_shard);
+  std::istringstream lines(shards.str());
+  std::string line;
+  std::size_t count = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(keys_of(line), as_strings(net::kShardRecordKeys));
+    ++count;
+  }
+  EXPECT_EQ(count, per_shard.size());
+
+  serve::Response answer;
+  answer.answer = net::Answer::kTrue;
+  EXPECT_EQ(keys_of(serve::to_jsonl(answer)),
+            as_strings(serve::kServeRecordKeys));
 }
 
 }  // namespace

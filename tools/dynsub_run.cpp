@@ -481,16 +481,6 @@ bool write_output(const std::string& path, const char* what,
 /// discriminates record types by that key).  The counters are the
 /// cross-seam story only: frames and wire bytes that actually crossed this
 /// shard's ingress, plus faults and lost batches charged to it.
-void write_shard_stats(std::ostream& out,
-                       const std::vector<net::ShardStats>& per_shard) {
-  for (std::size_t s = 0; s < per_shard.size(); ++s) {
-    const net::ShardStats& st = per_shard[s];
-    out << "{\"shard\":" << s << ",\"frames\":" << st.frames
-        << ",\"wire_bytes\":" << st.wire_bytes << ",\"faults\":" << st.faults
-        << ",\"lost_batches\":" << st.lost_batches << "}\n";
-  }
-}
-
 void print_summary(std::FILE* out, const std::string& spec_label,
                    const detect::Session& session, std::size_t rounds_run,
                    const harness::RunSummary& summary, const Served* served) {
@@ -624,7 +614,7 @@ int run(const Options& o) {
     const auto& per_shard = session->sim().metrics().shard_stats();
     if (!write_output(o.shard_stats_path, "shard stats",
                       [&](std::ostream& out) {
-                        write_shard_stats(out, per_shard);
+                        net::write_shard_jsonl(out, per_shard);
                       })) {
       return 1;
     }

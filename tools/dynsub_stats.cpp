@@ -40,45 +40,15 @@
 #include <vector>
 
 #include "harness/json.hpp"
+#include "net/metrics.hpp"
 #include "serve/export.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/histogram.hpp"
 
 namespace {
 
 using dynsub::harness::Json;
 using dynsub::telemetry::Log2Histogram;
-
-// The deterministic-channel schema (tools/dynsub_run.cpp --telemetry):
-// key name + whether the value is a bool (everything else is a number).
-struct KeySpec {
-  const char* key;
-  bool is_bool;
-};
-constexpr KeySpec kSchema[] = {
-    {"round", false},
-    {"changes", false},
-    {"active", false},
-    {"stepped", false},
-    {"messages", false},
-    {"payload_bits", false},
-    {"inconsistent_nodes", false},
-    {"flips_down", false},
-    {"flips_up", false},
-    {"degraded_nodes", false},
-    {"had_loss", true},
-    {"transport_retries", false},
-    {"transport_drops", false},
-    {"transport_corruptions", false},
-    {"transport_redeliveries", false},
-    {"transport_backoff_units", false},
-    {"transport_lost_batches", false},
-    {"transport_degraded_marks", false},
-    {"transport_recovery_events", false},
-    {"inconsistent_rounds", false},
-    {"changes_total", false},
-    {"amortized", false},
-    {"amortized_sup", false},
-};
 
 struct Record {
   std::uint64_t round = 0;
@@ -116,23 +86,26 @@ std::uint64_t as_u64(const Json& j) {
 }
 
 bool parse_record(const Json& doc, std::size_t line_no, Record& out) {
-  // Exactly the documented keys, in any order, each with the right type.
-  if (doc.members().size() != std::size(kSchema)) {
-    return fail(line_no, "expected " + std::to_string(std::size(kSchema)) +
+  // Exactly the writer's keys (telemetry::kRoundRecordKeys), in any order,
+  // each with the right type.
+  const auto& keys = dynsub::telemetry::kRoundRecordKeys;
+  if (doc.members().size() != keys.size()) {
+    return fail(line_no, "expected " + std::to_string(keys.size()) +
                              " keys, got " +
                              std::to_string(doc.members().size()));
   }
-  for (const KeySpec& spec : kSchema) {
-    const Json* v = doc.find(spec.key);
+  for (const char* key : keys) {
+    const Json* v = doc.find(key);
     if (v == nullptr) {
-      return fail(line_no, std::string("missing key \"") + spec.key + "\"");
+      return fail(line_no, std::string("missing key \"") + key + "\"");
     }
-    if (spec.is_bool && v->type() != Json::Type::kBool) {
-      return fail(line_no, std::string("key \"") + spec.key + "\" not a bool");
+    const bool is_bool = std::string_view(key) == "had_loss";
+    if (is_bool && v->type() != Json::Type::kBool) {
+      return fail(line_no, std::string("key \"") + key + "\" not a bool");
     }
-    if (!spec.is_bool && v->type() != Json::Type::kNumber) {
+    if (!is_bool && v->type() != Json::Type::kNumber) {
       return fail(line_no,
-                  std::string("key \"") + spec.key + "\" not a number");
+                  std::string("key \"") + key + "\" not a number");
     }
   }
   out.round = as_u64(*doc.find("round"));
@@ -172,9 +145,6 @@ void print_hist(const char* name, const Log2Histogram& h) {
 // leads).  Same strictness as the round schema: exactly the documented
 // keys, all numbers, shard ids strictly increasing from 0. ---
 
-constexpr const char* kShardKeys[] = {
-    "shard", "frames", "wire_bytes", "faults", "lost_batches"};
-
 struct ShardRecord {
   std::uint64_t shard = 0;
   std::uint64_t frames = 0;
@@ -185,12 +155,13 @@ struct ShardRecord {
 
 bool parse_shard_record(const Json& doc, std::size_t line_no,
                         ShardRecord& out) {
-  if (doc.members().size() != std::size(kShardKeys)) {
-    return fail(line_no, "expected " + std::to_string(std::size(kShardKeys)) +
+  const auto& keys = dynsub::net::kShardRecordKeys;
+  if (doc.members().size() != keys.size()) {
+    return fail(line_no, "expected " + std::to_string(keys.size()) +
                              " keys in a shard record, got " +
                              std::to_string(doc.members().size()));
   }
-  for (const char* key : kShardKeys) {
+  for (const char* key : keys) {
     const Json* v = doc.find(key);
     if (v == nullptr) {
       return fail(line_no, std::string("missing key \"") + key + "\"");
